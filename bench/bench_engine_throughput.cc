@@ -3,14 +3,15 @@
 // partitions x {single-model, 4-model mix} x {FIFS, ELSA}.
 //
 // Self-contained timing (std::chrono, no google-benchmark dependency).
-// Every configuration runs twice: once on the fast engine (compiled
-// profile lookups, incremental scheduler view, sorted arrival cursor) and
-// once on the reference (pre-optimization) engine, so the report carries
-// the speedup alongside the absolute throughput -- `engine_qps` is the
-// fast engine's simulated-queries-per-second, the perf trajectory number
-// CI tracks, and `speedup` is engine_qps / reference_qps on identical
-// record streams (checked by hash here, record-by-record in
-// engine_golden_test).
+// Every configuration runs twice: once on the production engine (compiled
+// profile lookups, incremental scheduler view, sorted arrival cursor,
+// bucketed calendar) and once on the naive oracle in tests/oracle/ (one
+// binary heap, fresh snapshot vectors, uncompiled lookups, full-scan
+// ELSA), so the report carries the speedup alongside the absolute
+// throughput -- `engine_qps` is the production engine's
+// simulated-queries-per-second, the perf trajectory number CI tracks, and
+// `speedup` is engine_qps / reference_qps on identical record streams
+// (checked by hash here, record-by-record in engine_golden_test).
 //
 // Headline: `speedup_256_mix4_elsa`, the 256-partition mixed-trace ELSA
 // configuration.  Run in Release without PE_BENCH_SMOKE for meaningful
@@ -24,18 +25,19 @@
 //               per-query virtual Route loop, per policy
 //               (hash / least / po2c),
 //   split_qps   two-pass arena SplitTrace vs the per-query lower_bound
-//               reference split,
-//   sim_qps     the bucketed-calendar fast engine replaying the split at
-//               jobs=1 vs the reference (heap + per-event view refresh)
-//               engine on the identical split -- `sim_speedup_jobs1` is
-//               the CI-gated event-core trajectory number,
+//               split oracle (oracle::SplitPerQuery),
+//   sim_qps     the bucketed-calendar production engine replaying the
+//               split at jobs=1 vs the naive oracle engine replaying the
+//               identical split (oracle::ReplayFleet) --
+//               `sim_speedup_jobs1` is the CI-gated event-core
+//               trajectory number,
 //   stats_sec   zero-copy k-way FleetResult::Stats vs the merged-copy
-//               StatsReference,
+//               oracle (oracle::MergedCopyStats),
 //   fleet_qps   the end-to-end pipeline (route + split + simulate +
 //               stats) at --jobs 1 and hardware concurrency, against the
-//               all-reference pipeline (fleet_reference_qps) sharing the
-//               same simulate stage -- `fleet_speedup` is the CI-gated
-//               fleet trajectory number.
+//               all-reference pipeline (fleet_reference_qps: oracle split
+//               and stats) sharing the same simulate stage --
+//               `fleet_speedup` is the CI-gated fleet trajectory number.
 // Every fast stage is cross-checked against its reference output
 // (assignment-for-assignment routing, record-for-record split,
 // field-for-field stats, jobs-1-identical records); any divergence fails
@@ -54,6 +56,9 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/fleet_runner.h"
+#include "oracle/elsa.h"
+#include "oracle/engine.h"
+#include "oracle/fleet.h"
 #include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
@@ -142,9 +147,11 @@ struct Measurement {
   std::uint64_t hash = 0;
 };
 
-// Best-of-`reps` wall-clock of a full Run (Reset + inject + drain).
-Measurement Measure(sim::InferenceServer& server,
-                    const workload::QueryTrace& trace, int reps) {
+// Best-of-`reps` wall-clock of a full Run (Reset + inject + drain) on
+// either engine.
+template <typename Server>
+Measurement Measure(Server& server, const workload::QueryTrace& trace,
+                    int reps) {
   Measurement best;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -278,7 +285,8 @@ int main() {
   using pe::bench::SmokeMode;
   pe::bench::PrintHeader(
       "Engine throughput (simulated queries / wall-clock second)",
-      "fast engine vs reference engine, identical record streams");
+      "production engine vs tests/oracle naive engine, identical record "
+      "streams");
 
   const auto repertoire = profile::BuildZooRepertoire(MixModels());
   // Strictest per-model SLA rule across the mix (Section V shape).
@@ -305,26 +313,27 @@ int main() {
           MakeTrace(mixed, rate, num_queries,
                     0x5EED0 + static_cast<std::uint64_t>(workers));
       for (const bool use_elsa : {false, true}) {
-        Measurement fast;
-        Measurement ref;
-        for (const bool reference : {false, true}) {
-          sim::ServerConfig sc;
-          sc.partition_gpcs = layout;
-          sc.sla_target = sla;
-          sc.seed = 0xBE7C4;
-          sc.reference_engine = reference;
-          std::unique_ptr<sched::Scheduler> scheduler;
-          if (use_elsa) {
-            sched::ElsaParams params;
-            params.compiled_lookups = !reference;
-            scheduler = std::make_unique<sched::ElsaScheduler>(repertoire,
-                                                               sla, params);
-          } else {
-            scheduler = std::make_unique<sched::FifsScheduler>();
-          }
-          sim::InferenceServer server(sc, repertoire, *scheduler);
-          (reference ? ref : fast) = Measure(server, trace, reps);
+        sim::ServerConfig sc;
+        sc.partition_gpcs = layout;
+        sc.sla_target = sla;
+        sc.seed = 0xBE7C4;
+        // Production stack vs the oracle stack: the naive engine with the
+        // full-scan ELSA (FIFS runs as is; its vector-view path is the
+        // plain idle scan).
+        std::unique_ptr<sched::Scheduler> scheduler;
+        std::unique_ptr<sched::Scheduler> naive_scheduler;
+        if (use_elsa) {
+          scheduler = std::make_unique<sched::ElsaScheduler>(repertoire, sla);
+          naive_scheduler =
+              std::make_unique<oracle::NaiveElsa>(repertoire, sla);
+        } else {
+          scheduler = std::make_unique<sched::FifsScheduler>();
+          naive_scheduler = std::make_unique<sched::FifsScheduler>();
         }
+        sim::InferenceServer server(sc, repertoire, *scheduler);
+        const Measurement fast = Measure(server, trace, reps);
+        oracle::NaiveServer naive(sc, repertoire, *naive_scheduler);
+        const Measurement ref = Measure(naive, trace, reps);
         const double speedup = ref.qps > 0.0 ? fast.qps / ref.qps : 0.0;
         const bool identical = fast.hash == ref.hash;
         const std::string workload = mixed ? "mix4" : "single";
@@ -360,7 +369,7 @@ int main() {
   std::cout << "\nheadline (256 partitions, 4-model mix, ELSA): "
             << Table::Num(headline_qps, 0) << " simulated queries/sec, "
             << Table::Num(headline_speedup, 2)
-            << "x over the reference engine\n";
+            << "x over the oracle engine\n";
 
   // ------------------------------------------------------------------
   // Fleet-scaling leg: the same 4-model mix behind a sharded router
@@ -428,8 +437,8 @@ int main() {
   }
 
   // Stage 2: trace split.  Two-pass count-then-fill into the flat arena
-  // (routing parallelized for stateless policies) vs the reference
-  // per-query lower_bound remap; record-for-record identical sub-traces
+  // (routing parallelized for stateless policies) vs the per-query
+  // lower_bound split oracle; record-for-record identical sub-traces
   // (po2c, the planted fleet policy).
   auto split_router = fleet.cluster().MakeFleetRouter();
   fleet::TraceSplit fast_split;
@@ -443,8 +452,8 @@ int main() {
       },
       [&] {
         split_router->Reset();
-        ref_split = fleet::SplitTraceReference(fleet_trace, *split_router,
-                                               fleet.placement());
+        ref_split = oracle::SplitPerQuery(fleet_trace, *split_router,
+                                          fleet.placement());
       },
       [&] { return SameSplit(fast_split, ref_split); });
   const bool split_identical = split_r.identical;
@@ -459,29 +468,26 @@ int main() {
     return h;
   };
 
-  // Stage 3: simulate.  The fast event core (bucketed calendar, batched
-  // same-instant dispatch, epoch-coalesced view refresh) vs the reference
-  // engine (binary heap, per-event refresh) replaying the identical split
-  // at jobs=1, so the speedup isolates per-event work, not thread
-  // fan-out.  The reference fleet shares every config knob but the
-  // engine, hence the same placement and per-server seeds.
-  core::FleetTestbedConfig ref_fleet_config = fleet_config;
-  ref_fleet_config.reference_engine = true;
-  const core::FleetTestbed ref_fleet(ref_fleet_config);
+  // Stage 3: simulate.  The production event core (bucketed calendar,
+  // batched same-instant dispatch, epoch-coalesced view refresh) vs the
+  // naive oracle engine (binary heap, fresh snapshot vectors) replaying
+  // the identical split server by server, so the speedup isolates
+  // per-event work, not thread fan-out.  The oracle replay builds every
+  // engine from the same cluster (same configs, schedulers and seeds).
   fleet::FleetResult sim_result;
   fleet::FleetResult sim_ref_result;
   const StageResult sim_r = MeasureStage(
       fleet_table, "sim", "jobs=1", fleet_n, reps,
       [&] { sim_result = fleet.cluster().SimulateSplit(fast_split, 1); },
       [&] {
-        sim_ref_result = ref_fleet.cluster().SimulateSplit(fast_split, 1);
+        sim_ref_result = oracle::ReplayFleet(fleet.cluster(), fast_split);
       },
       [&] { return hash_fleet(sim_result) == hash_fleet(sim_ref_result); });
   const bool sim_identical = sim_r.identical;
 
   // Stage 4: stats reduction over the shared simulate result.  Zero-copy
   // parallel Stats (k-way latency merge, no merged record vector) vs the
-  // merged-copy StatsReference; every field must match bit for bit.
+  // merged-copy oracle; every field must match bit for bit.
   fleet::FleetStats fast_stats;
   fleet::FleetStats ref_stats;
   const StageResult stats_r = MeasureStage(
@@ -491,18 +497,18 @@ int main() {
                                       /*warmup_fraction=*/0.1, fleet_jobs);
       },
       [&] {
-        ref_stats = sim_result.StatsReference(fleet.sla_target(),
-                                              /*warmup_fraction=*/0.1);
+        ref_stats = oracle::MergedCopyStats(sim_result, fleet.sla_target(),
+                                            /*warmup_fraction=*/0.1);
       },
       [&] { return SameFleetStats(fast_stats, ref_stats); });
   const bool stats_identical = stats_r.identical;
 
   // End to end: route + split + simulate + stats.  The fast pipeline at
-  // --jobs 1 and hardware concurrency; the reference pipeline (per-query
-  // Route inside SplitTraceReference, merged-copy StatsReference) shares
-  // the simulate stage and jobs count, so the speedup isolates the
-  // serial-stage work reduction.  The jobs-1 rerun pins the fleet
-  // driver's bit-identity claim.
+  // --jobs 1 and hardware concurrency; the reference pipeline (the
+  // per-query split and merged-copy stats oracles) shares the simulate
+  // stage and jobs count, so the speedup isolates the serial-stage work
+  // reduction.  The jobs-1 rerun pins the fleet driver's bit-identity
+  // claim.
   std::uint64_t fleet_hash_jobs1 = 0;
   std::uint64_t fleet_hash_jobsn = 0;
   const auto fast_pipeline = [&](int jobs, std::uint64_t* hash_out) {
@@ -522,11 +528,11 @@ int main() {
   const double ref_pipeline_sec = TimeSec(
       [&] {
         auto router = fleet.cluster().MakeFleetRouter();
-        const auto split = fleet::SplitTraceReference(fleet_trace, *router,
-                                                      fleet.placement());
+        const auto split =
+            oracle::SplitPerQuery(fleet_trace, *router, fleet.placement());
         const auto result = fleet.cluster().SimulateSplit(split, fleet_jobs);
-        const auto stats = result.StatsReference(fleet.sla_target(),
-                                                 /*warmup_fraction=*/0.1);
+        const auto stats = oracle::MergedCopyStats(
+            result, fleet.sla_target(), /*warmup_fraction=*/0.1);
         (void)stats;
       },
       reps);
@@ -545,7 +551,7 @@ int main() {
             << " queries, jobs=" << fleet_jobs << "):\n";
   fleet_table.Print(std::cout);
   std::cout << "sim stage (jobs=1): " << Table::Num(sim_r.speedup, 2)
-            << "x over the reference event core\n";
+            << "x over the oracle event core\n";
   std::cout << "fleet pipeline: " << Table::Num(fleet_qps, 0)
             << " queries/sec end-to-end ("
             << Table::Num(fleet_qps_jobs1, 0) << " at jobs=1), "

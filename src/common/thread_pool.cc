@@ -22,10 +22,15 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
+  std::function<void()> task;
   for (;;) {
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (task) {
+        // Handed back, not destroyed here (see the header).
+        spent_.push_back(std::move(task));
+        task = nullptr;
+      }
       cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stopping_ and drained
       task = std::move(tasks_.front());

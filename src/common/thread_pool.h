@@ -8,6 +8,13 @@
 //     exception thrown by the task is captured and rethrown from get().
 //   * The destructor drains the queue: every task submitted before
 //     destruction runs to completion before the workers join.
+//   * Spent tasks are released on the owning thread (the next Submit, or
+//     the destructor after the join), never on a worker: a spent task
+//     still co-owns its future's shared state, and a worker dropping the
+//     last reference after the consumer read a stored exception would
+//     free it through the C++ runtime's own reference count, an ordering
+//     ThreadSanitizer cannot see (an uninstrumented libstdc++), which it
+//     then reports as a race.
 //   * ParallelMap(n, jobs, fn) evaluates fn(0..n-1) on up to `jobs`
 //     threads and returns the results ordered by index, so the output is
 //     bit-identical to the serial loop for any thread count (fn must be a
@@ -48,9 +55,11 @@ class ThreadPool {
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
+    std::vector<std::function<void()>> spent;  // released after the lock
     {
       std::lock_guard<std::mutex> lock(mu_);
       tasks_.push([task] { (*task)(); });
+      spent.swap(spent_);
     }
     cv_.notify_one();
     return result;
@@ -65,6 +74,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
+  // Tasks the workers finished, awaiting release on the owning thread.
+  std::vector<std::function<void()>> spent_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
@@ -80,6 +91,9 @@ auto ParallelMap(std::size_t n, int jobs, Fn&& fn)
   using R = std::invoke_result_t<Fn&, std::size_t>;
   static_assert(!std::is_void_v<R>, "ParallelMap requires a non-void result");
   std::vector<R> results;
+  // No reserve(0): GCC 12 inlines it into a -Wnonnull false positive under
+  // -fsanitize=thread, and there is nothing to compute anyway.
+  if (n == 0) return results;
   results.reserve(n);
   if (n <= 1 || jobs <= 1) {
     for (std::size_t i = 0; i < n; ++i) results.push_back(fn(i));

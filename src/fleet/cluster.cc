@@ -82,7 +82,6 @@ sim::ServerConfig Cluster::MakeServerConfig(int server_id) const {
   sc.latency_noise_sigma = config_.latency_noise_sigma;
   sc.seed = ServerSeed(config_.seed, server_id);
   sc.model_swap_cost = config_.model_swap_cost;
-  sc.reference_engine = config_.reference_engine;
   return sc;
 }
 
@@ -257,7 +256,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
     return stats;
   }
 
-  // Same warmup cut the reference takes over the merged population.
+  // Same warmup cut the merged-copy oracle takes over the merged population.
   const std::size_t skip = static_cast<std::size_t>(
       warmup_fraction * static_cast<double>(total));
 
@@ -267,7 +266,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
   }
 
   // Phase B: walk the merged population in the exact order the
-  // reference's stable sort visits the merged vector -- ascending
+  // merged-copy oracle's stable sort visits the merged vector -- ascending
   // arrival, ties by server then per-server position (each server's
   // block precedes the next's in the merged layout).  Only the
   // order-sensitive accumulators run here: the mean-latency sum, the
@@ -323,7 +322,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
         ++out_idx;
         return;
       }
-      // The reference's multi-model pre-scan compares every post-cut
+      // The merged ComputeStats' multi-model pre-scan compares every post-cut
       // record's model to the one at the cut -- casualties included --
       // so the model bookkeeping runs before the casualty skip.
       const int gm = global_models[s][static_cast<std::size_t>(r.model)];
@@ -353,7 +352,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
     SimTime group_arrival = 0;
     const auto flush = [&]() {
       if (group.size() > 1) {
-        // Reference tie order on one arrival tick: server-major, then
+        // Merged tie order on one arrival tick: server-major, then
         // per-server arrival position (already the push order).
         std::stable_sort(group.begin(), group.end(),
                          [](const Pending& a, const Pending& b) {
@@ -543,7 +542,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
       }
     }
     // Flatten in (index, gpcs) order -- with the server-major global index
-    // offsets this reproduces the reference's fleet-wide worker-map key
+    // offsets this reproduces the merged pass's fleet-wide worker-map key
     // order exactly.
     for (auto& v : variants) {
       std::sort(v.begin(), v.end(),
@@ -563,8 +562,8 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
   agg.shed = agg_shed;
   stats.fault = fault;
   if (agg.completed == 0) {
-    // Every post-cut record was a casualty: the reference bails before
-    // any rate/percentile math, leaving only the counters set.
+    // Every post-cut record was a casualty: the merged ComputeStats bails
+    // before any rate/percentile math, leaving only the counters set.
     return stats;
   }
   agg.mean_latency_ms =
@@ -583,7 +582,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
                            static_cast<double>(agg.completed);
 
   // Exact fleet percentiles by selection over the shared latency pool:
-  // the pool holds the same multiset the reference's sorted vector would,
+  // the pool holds the same multiset the merged pass's sorted vector would,
   // and QuantileSelector reproduces Percentile's interpolation exactly.
   {
     QuantileSelector latency(std::move(latency_pool));
@@ -617,7 +616,7 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
   }
 
   if (multi_model) {
-    // Ascending model id == the reference's per-model map key order.
+    // Ascending model id == the merged pass's per-model map key order.
     std::vector<int> present;
     for (int m = 0; m < num_models; ++m) {
       for (const ServerExtract& e : extracts) {
@@ -662,42 +661,6 @@ FleetStats FleetResult::Stats(SimTime sla_target, double warmup_fraction,
     ms.swaps = agg.model_swaps;
     agg.models.push_back(std::move(ms));
   }
-  return stats;
-}
-
-FleetStats FleetResult::StatsReference(SimTime sla_target,
-                                       double warmup_fraction) const {
-  FleetStats stats;
-  stats.num_servers = static_cast<int>(per_server.size());
-  std::size_t total = 0;
-  for (const sim::SimResult& r : per_server) total += r.records.size();
-
-  // The fleet-level population: every record, re-keyed to global query
-  // ids, global model ids, and fleet-unique worker indices, so one
-  // ComputeStats pass yields coherent percentiles and utilizations.
-  std::vector<sim::QueryRecord> merged;
-  merged.reserve(total);
-  for (std::size_t s = 0; s < per_server.size(); ++s) {
-    const auto& records = per_server[s].records;
-    sim::ServerStats server_stats =
-        sim::ComputeStats(records, sla_target, warmup_fraction);
-    for (auto& ms : server_stats.models) {
-      ms.model = global_models[s][static_cast<size_t>(ms.model)];
-    }
-    stats.per_server.push_back(std::move(server_stats));
-    stats.routed_per_server.push_back(records.size());
-    stats.routed_queries += records.size();
-    const std::span<const std::uint64_t> ids = GlobalIds(static_cast<int>(s));
-    for (const sim::QueryRecord& r : records) {
-      sim::QueryRecord g = r;
-      g.id = ids[static_cast<size_t>(r.id)];
-      g.model = global_models[s][static_cast<size_t>(r.model)];
-      g.worker = worker_base[s] + r.worker;
-      merged.push_back(g);
-    }
-  }
-  stats.aggregate = sim::ComputeStats(merged, sla_target, warmup_fraction);
-  stats.fault = fault;
   return stats;
 }
 

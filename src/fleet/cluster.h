@@ -56,8 +56,6 @@ struct FleetConfig {
   double latency_noise_sigma = 0.0;
   SimTime model_swap_cost = 0;
   std::uint64_t seed = 0x5EED;
-  // Forwarded to every ServerConfig (golden-determinism baseline).
-  bool reference_engine = false;
 };
 
 struct FleetStats {
@@ -93,7 +91,7 @@ struct FleetResult {
   // fleet-wide (cumulative layout sizes).
   std::vector<int> worker_base;
   // Filled by fleet::SimulateWithFaults; defaults for fault-free runs.
-  // Copied into FleetStats by Stats()/StatsReference().
+  // Copied into FleetStats by Stats().
   FaultSummary fault;
 
   std::span<const std::uint64_t> GlobalIds(int s) const {
@@ -112,17 +110,11 @@ struct FleetResult {
   // serial walk, percentiles come from linear-time selection over a flat
   // latency pool (same order statistics, same interpolation arithmetic as
   // Percentile), and integer counters sum associatively.  Field-for-field
-  // bit-identical to StatsReference() at any jobs count (pinned by
-  // fleet_stats_test).
+  // bit-identical at any jobs count to one serial ComputeStats over a
+  // merged, globally re-keyed copy of every record -- the merged-copy
+  // oracle in tests/oracle/, pinned by fleet_stats_test.
   FleetStats Stats(SimTime sla_target, double warmup_fraction = 0.1,
                    int jobs = 1) const;
-
-  // Retained reference aggregate: deep-copies every record (re-keyed to
-  // global ids) into one merged vector and runs a single serial
-  // ComputeStats over it.  The golden baseline for Stats() and the
-  // denominator of the fleet-scaling bench's stats speedup.
-  FleetStats StatsReference(SimTime sla_target,
-                            double warmup_fraction = 0.1) const;
 };
 
 class Cluster {
@@ -155,9 +147,10 @@ class Cluster {
   std::unique_ptr<Router> MakeFleetRouter() const;
 
   // The ServerConfig Simulate() builds for `server_id` (layout, SLA,
-  // noise, per-server seed, engine flavour).  Exposed so external
-  // drivers -- fleet::SimulateWithFaults runs engines incrementally --
-  // construct bit-identical engines to the batch path.
+  // noise, swap cost, per-server seed).  Exposed so external drivers --
+  // fleet::SimulateWithFaults runs engines incrementally, and the fleet
+  // replay oracle in tests/oracle/ runs the naive engine -- construct
+  // engines bit-identical to the batch path.
   sim::ServerConfig MakeServerConfig(int server_id) const;
 
   // A fresh scheduler for `server_id` over its local repertoire, from

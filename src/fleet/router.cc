@@ -528,51 +528,4 @@ TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
   return split;
 }
 
-TraceSplit SplitTraceReference(const workload::QueryTrace& trace,
-                               Router& router,
-                               const PlacementMap& placement) {
-  const int n = placement.num_servers();
-  std::vector<std::vector<workload::Query>> queries(static_cast<size_t>(n));
-  std::vector<std::vector<std::uint64_t>> global_ids(static_cast<size_t>(n));
-  for (const workload::Query& q : trace.queries()) {
-    const int server = router.Route(q);
-    if (server < 0 || server >= n) {
-      throw std::logic_error(
-          "SplitTraceReference: router returned bad server id");
-    }
-    const ServerPlacement& sp = placement.server(server);
-    const auto it = std::lower_bound(sp.model_ids.begin(),
-                                     sp.model_ids.end(), q.model_id);
-    if (it == sp.model_ids.end() || *it != q.model_id) {
-      throw std::logic_error(
-          "SplitTraceReference: router sent a query to a server not "
-          "hosting its model");
-    }
-    auto& bucket = queries[static_cast<size_t>(server)];
-    workload::Query local = q;
-    local.id = bucket.size();  // dense per-server ids, as the engine needs
-    local.model_id = static_cast<int>(it - sp.model_ids.begin());
-    bucket.push_back(local);
-    global_ids[static_cast<size_t>(server)].push_back(q.id);
-  }
-  // Pack the grown buckets into the arena layout SplitTrace emits
-  // directly.
-  TraceSplit split;
-  split.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int s = 0; s < n; ++s) {
-    split.offsets[static_cast<std::size_t>(s) + 1] =
-        split.offsets[static_cast<std::size_t>(s)] +
-        queries[static_cast<std::size_t>(s)].size();
-  }
-  split.arena.reserve(split.offsets.back());
-  split.global_ids.reserve(split.offsets.back());
-  for (int s = 0; s < n; ++s) {
-    const auto& bucket = queries[static_cast<std::size_t>(s)];
-    split.arena.insert(split.arena.end(), bucket.begin(), bucket.end());
-    const auto& gids = global_ids[static_cast<std::size_t>(s)];
-    split.global_ids.insert(split.global_ids.end(), gids.begin(), gids.end());
-  }
-  return split;
-}
-
 }  // namespace pe::fleet

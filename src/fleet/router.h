@@ -30,9 +30,9 @@
 // Hot path: RouteAll() routes a whole trace in one sealed per-policy loop
 // (no virtual dispatch per query, replica sets resolved once per model,
 // profiled backlog charges memoized per (model, server-class, batch)).
-// The per-query Route() interface is the retained reference path; both
-// must produce the identical assignment sequence and the fleet tests pin
-// that identity per policy.
+// The per-query Route() interface must produce the identical assignment
+// sequence; the fleet tests pin that identity per policy, and pin
+// SplitTrace against the per-query split oracle in tests/oracle/.
 #pragma once
 
 #include <cstdint>
@@ -166,13 +166,5 @@ TraceSplit SplitTrace(const workload::QueryTrace& trace, Router& router,
 TraceSplit SplitByAssignment(const workload::QueryTrace& trace,
                              std::span<const int> assignment,
                              const PlacementMap& placement);
-
-// Retained reference implementation: per-query Route() calls into growing
-// per-server buckets with a lower_bound model remap, packed into the same
-// TraceSplit layout at the end.  SplitTrace must match it record for
-// record (pinned by fleet_stats_test for every policy); it is also the
-// denominator of the fleet-scaling bench's split speedup.
-TraceSplit SplitTraceReference(const workload::QueryTrace& trace,
-                               Router& router, const PlacementMap& placement);
 
 }  // namespace pe::fleet

@@ -56,7 +56,6 @@ ElasticResult ElasticServerSim::Run(const workload::QueryTrace& trace) {
   sc.sla_target = sla_target_;
   sc.seed = seed_;
   sc.model_swap_cost = model_swap_cost_;
-  sc.reference_engine = reference_engine_;
   auto scheduler = scheduler_factory_();
   std::optional<sim::InferenceServer> server;
   if (repertoire_ != nullptr) {

@@ -7,8 +7,9 @@ int FifsScheduler::OnQueryArrival(const workload::Query& query,
   (void)query;
   // Fast path: the server's live view maintains the (max gpcs, lowest
   // index) idle worker incrementally, so the per-arrival cost is O(log W)
-  // instead of an O(W) scan.  Equivalence with the scan below (the
-  // reference path, exercised by engine_golden_test) is exact: both
+  // instead of an O(W) scan.  Equivalence with the scan below (the path
+  // the tests/oracle engine's vector views take, pinned by
+  // engine_golden_test) is exact: both
   // select the idle worker with maximum gpcs, lowest index among ties,
   // and kNoAssignment when none is idle.
   const int fast = workers.MaxGpcsIdleWorker();

@@ -17,7 +17,7 @@
 //    simulates up to (but not including) instant T, BeginReconfigure swaps
 //    the partition layout live, and Finish() drains everything left.
 //
-// Hot-path design (the fast engine, on by default):
+// Hot-path design:
 //  * profile lookups go through a CompiledProfile -- EstimateTicks /
 //    ActualTicks are two array indexes instead of a map find +
 //    lower_bound + std::function call;
@@ -33,19 +33,18 @@
 //    injections, which fall off the sorted cursor) live in a two-level
 //    bucketed EventCalendar -- a near-future bucket wheel plus a sorted
 //    overflow spill -- so the dominant completion -> dispatch ->
-//    completion cycle is O(1) amortized instead of the binary heap's
+//    completion cycle is O(1) amortized instead of a binary heap's
 //    O(log E) (see sim/event_calendar.h);
 //  * the event loop drains every event at the same timestamp in one
 //    sweep: the current time is written, the bound re-checked, and the
 //    live view's time epoch bumped once per distinct instant, so wide
 //    servers refresh busy-worker wait ticks at most once per instant
 //    rather than re-validating per event.
-// ServerConfig::reference_engine re-enables the pre-optimization
-// implementation (every event in one binary heap, per-consultation
-// snapshot vectors, uncompiled profile lookups); both paths produce
-// bit-identical SimResults (the event order is the same total (time, seq)
-// order), asserted record-by-record by the golden determinism suite and
-// measured by bench_engine_throughput.
+// None of this is observable: events are processed in one total
+// (time, seq) order, and every record is pinned against the
+// independently written naive engine in tests/oracle/ (a single binary
+// heap, a fresh snapshot vector per consultation, uncompiled lookups)
+// by engine_golden_test.
 //
 // A live reconfiguration models a MIG layout change as a first-class
 // simulation event: in-flight queries drain on the old layout, queued work
@@ -70,63 +69,16 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "profile/compiled_profile.h"
-#include "sim/event_calendar.h"
 #include "profile/model_repertoire.h"
 #include "profile/profile_table.h"
 #include "sched/scheduler.h"
+#include "sim/event_calendar.h"
 #include "sim/metrics.h"
+#include "sim/server_config.h"
 #include "sim/worker.h"
 #include "workload/trace.h"
 
 namespace pe::sim {
-
-// Ground truth: actual execution latency of (partition gpcs, batch).
-// Alias of the repertoire's per-model function type.
-using LatencyFn = profile::LatencyFn;
-
-struct FrontendConfig {
-  bool enabled = false;
-  // Parallel preprocessing lanes (the paper's host has 96 vCPUs).
-  int lanes = 96;
-  // Deterministic per-query preprocessing cost.
-  SimTime cost_per_query = UsToTicks(500.0);
-};
-
-struct ServerConfig {
-  // One worker per element; the multiset of GPU partition sizes.
-  std::vector<int> partition_gpcs;
-  // SLA target for bookkeeping (violation rate in stats).
-  SimTime sla_target = 0;
-  // Log-normal multiplicative execution-time noise (sigma in log space);
-  // 0 disables noise and makes runs fully deterministic.
-  double latency_noise_sigma = 0.0;
-  std::uint64_t seed = 0x5EED;
-  FrontendConfig frontend;
-  // Charged on top of a query's execution time when its start displaces a
-  // different resident model on the partition (weight re-load / context
-  // switch).  0 (the default) models free swaps; single-model runs never
-  // swap, so the knob cannot perturb them either way.
-  SimTime model_swap_cost = 0;
-  // Per-query start deadline, relative to the query's (local) arrival; a
-  // query whose head-of-queue turn comes more than `deadline` ticks after
-  // it arrived is dropped (QueryRecord::shed) instead of started.  0 (the
-  // default) disables shedding entirely -- no code path changes, so
-  // deadline-free runs are bit-identical to the pre-fault engine.
-  SimTime deadline = 0;
-  // true re-enables the pre-optimization engine (uncompiled profile
-  // lookups, per-consultation snapshot vectors, every arrival heaped).
-  // Kept as the golden-determinism baseline and as the denominator of
-  // bench_engine_throughput's speedup; results are bit-identical either
-  // way.
-  bool reference_engine = false;
-};
-
-struct SimResult {
-  std::vector<QueryRecord> records;
-  ServerStats Stats(SimTime sla_target, double warmup_fraction = 0.1) const {
-    return ComputeStats(records, sla_target, warmup_fraction);
-  }
-};
 
 class InferenceServer {
  public:
@@ -234,8 +186,8 @@ class InferenceServer {
   // the structure that orders them.
 
   // An injected arrival on the sorted cursor; `seq` is drawn from the
-  // same counter as heap events so the merged pop order reproduces the
-  // single-queue order exactly.
+  // same counter as calendar events so the merged pop order is the one
+  // total (time, seq) order.
   struct PendingArrival {
     SimTime time = 0;
     std::uint64_t seq = 0;
@@ -246,13 +198,12 @@ class InferenceServer {
   // cached per worker and re-materialized only when the worker's version
   // ticked or, for busy workers, when the view's time epoch moved (the
   // in-flight remainder of Twait is the one time-dependent term); Get is
-  // O(1) and the per-consultation O(W) vector rebuild of the reference
-  // path disappears.  The epoch is bumped by the event loop exactly once
-  // per distinct simulated instant (the batched same-timestamp sweep), so
-  // however many events land on one timestamp, each busy worker's wait
-  // ticks refresh at most once for it.  layout_version() is
-  // process-unique per BuildWorkers so schedulers can cache per-layout
-  // derived state against it.
+  // O(1), with no per-consultation O(W) vector rebuild.  The epoch is bumped
+  // by the event loop exactly once per distinct simulated instant (the
+  // batched same-timestamp sweep), so however many events land on one
+  // timestamp, each busy worker's wait ticks refresh at most once for
+  // it.  layout_version() is process-unique per BuildWorkers so schedulers
+  // can cache per-layout derived state against it.
   class LiveWorkerView final : public sched::WorkerView {
    public:
     explicit LiveWorkerView(const InferenceServer& server)
@@ -289,10 +240,9 @@ class InferenceServer {
   void Push(SimTime time, EventType type, std::uint32_t payload);
   void PushWithSeq(SimTime time, std::uint64_t seq, EventType type,
                    std::uint32_t payload);
-  // Pops the earliest pending event (merging the calendar -- or, on the
-  // reference path, the heap -- with the arrival cursor by (time, seq))
-  // into `ev`.  With `bounded`, events at or after `bound` stay pending.
-  // Returns false when nothing qualifies.
+  // Pops the earliest pending event (merging the calendar with the
+  // arrival cursor by (time, seq)) into `ev`.  With `bounded`, events at
+  // or after `bound` stay pending.  Returns false when nothing qualifies.
   bool PopNextEvent(SimTime bound, bool bounded, Event& ev);
   // The shared event loop of AdvanceTo/Finish: pops events in (time, seq)
   // order and drains every event at the same timestamp in one sweep --
@@ -302,26 +252,21 @@ class InferenceServer {
   // Moves the clock, bumping the live view's time epoch on real moves.
   void SetNow(SimTime when);
   void ProcessEvent(const Event& ev);
-  // Scheduler consultation for an arrival or a reconfiguration orphan:
-  // the fast path hands the scheduler the live view; the reference path
-  // materializes a snapshot vector per call, as the pre-optimization
-  // engine did.
-  int ConsultScheduler(const workload::Query& query, SimTime now,
-                       bool orphan);
+  // Scheduler consultation for an arrival or an orphan, through the
+  // live view (wait times as of now_).
+  int ConsultScheduler(const workload::Query& query, bool orphan);
   void Dispatch(const workload::Query& query, SimTime now);
   void CompleteReconfigure(SimTime now);
   // Re-offers central-queue heads to the scheduler (central-queue
   // schedulers only), stopping at the first it declines; used after a
   // reconfiguration brings the new (all-idle) workers up.
   void ReofferCentralQueue(SimTime now);
-  // Refills and returns the member scratch vector (reference engine path
-  // and the OnReconfigure lifecycle hook).  The reference is invalidated
-  // by the next call.
-  const std::vector<sched::WorkerState>& Snapshots(SimTime now) const;
+  // Materializes every worker's state (the OnReconfigure lifecycle
+  // hook's old/new layout arguments).
+  std::vector<sched::WorkerState> Snapshots(SimTime now) const;
   void BuildWorkers(const std::vector<int>& partition_gpcs);
   // Re-files `worker` in idle_workers_ after a mutation that may have
-  // changed its idleness (Enqueue or Finish).  No-op on the reference
-  // engine path, which keeps no idle index.
+  // changed its idleness (Enqueue or Finish).
   void SyncIdle(const PartitionWorker& worker);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
@@ -340,15 +285,11 @@ class InferenceServer {
   // Dense lookup surface compiled from `repertoire_` once per server.
   profile::CompiledProfile compiled_;
 
-  // Fast path: worker/frontend/reconfig events plus out-of-order arrival
+  // Worker/frontend/reconfig events plus out-of-order arrival
   // injections, in the two-level bucketed calendar (O(1) amortized).
   EventCalendar calendar_;
-  // Reference path: the same event population in a binary min-heap over
-  // (time, seq), kept in a plain vector so Reset() retains its capacity
-  // across incarnations.  Unused on the fast path.
-  std::vector<Event> events_;
   // In-order arrivals: a flat cursor over the (already time-sorted)
-  // injected trace, merged with the heap at pop time.
+  // injected trace, merged with the calendar at pop time.
   std::vector<PendingArrival> arrivals_;
   std::size_t arrival_cursor_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -356,12 +297,10 @@ class InferenceServer {
 
   std::vector<PartitionWorker> workers_;
   LiveWorkerView view_{*this};
-  // Fast-path idle index backing LiveWorkerView::MaxGpcsIdleWorker():
+  // Idle index backing LiveWorkerView::MaxGpcsIdleWorker():
   // {-gpcs, index} per idle worker, so begin() is the largest partition
   // with the lowest index -- exactly FIFS's scan winner.  Maintained by
-  // SyncIdle at every Enqueue/Finish site and rebuilt by BuildWorkers;
-  // empty on the reference engine path (its ad-hoc views report
-  // kIdleScanUnsupported, forcing the original O(W) scan).
+  // SyncIdle at every Enqueue/Finish site and rebuilt by BuildWorkers.
   std::set<std::pair<int, int>> idle_workers_;
   // Unassigned queries.  For central-queue schedulers this is the ordinary
   // central FIFO; during a reconfiguration window it additionally holds
@@ -370,8 +309,6 @@ class InferenceServer {
   std::vector<SimTime> frontend_free_at_;  // per lane
   std::vector<workload::Query> queries_;   // injected arrivals, by id
   std::vector<QueryRecord> records_;
-  // Scratch for Snapshots(): reserved once per layout, reused per event.
-  mutable std::vector<sched::WorkerState> snapshots_;
 
   // Live-reconfiguration state: while `reconfiguring_`, no query starts
   // and arrivals are held.  `reconfig_gen_` stamps the kReconfigDone event

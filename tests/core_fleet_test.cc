@@ -1,6 +1,7 @@
 // FleetTestbed end-to-end tests, including the fleet driver's acceptance
 // contract: record-by-record identical per-server results at --jobs 1, 2,
-// and hardware concurrency, for every router policy.
+// and hardware concurrency, for every router policy, and identical to the
+// naive-engine fleet replay in tests/oracle/.
 #include "core/fleet_runner.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <algorithm>
 #include <thread>
 #include <vector>
+
+#include "oracle/fleet.h"
 
 namespace pe::core {
 namespace {
@@ -102,18 +105,14 @@ TEST(FleetTestbed, RejectsDegenerateConfigs) {
   EXPECT_THROW(FleetTestbed{bad}, std::invalid_argument);
 }
 
-TEST(FleetTestbed, ReferenceEngineMatchesFastEngine) {
-  // The fleet inherits the single-server golden rule: the pre-optimization
-  // reference engine and the fast engine produce identical records for
-  // the same fleet run.
-  FleetTestbedConfig fast_cfg = SmallFleet(3, fleet::RouterPolicy::kHash);
-  FleetTestbedConfig ref_cfg = fast_cfg;
-  ref_cfg.reference_engine = true;
-  const FleetTestbed fast_tb(fast_cfg);
-  const FleetTestbed ref_tb(ref_cfg);
-  const auto trace = fast_tb.GenerateFleetTrace(450.0, 2000, /*seed=*/5);
-  const auto fast_run = fast_tb.Run(trace, 2);
-  const auto ref_run = ref_tb.Run(trace, 2);
+TEST(FleetTestbed, MatchesTheOracleFleetReplay) {
+  // The fleet inherits the single-server golden rule: the production
+  // pipeline and the oracle replay (per-query split, naive engine per
+  // server) produce identical records for the same fleet run.
+  const FleetTestbed tb(SmallFleet(3, fleet::RouterPolicy::kHash));
+  const auto trace = tb.GenerateFleetTrace(450.0, 2000, /*seed=*/5);
+  const auto fast_run = tb.Run(trace, 2);
+  const auto ref_run = oracle::ReplayFleet(tb.cluster(), trace);
   ASSERT_EQ(fast_run.per_server.size(), ref_run.per_server.size());
   for (std::size_t s = 0; s < fast_run.per_server.size(); ++s) {
     EXPECT_TRUE(SameRecords(fast_run.per_server[s], ref_run.per_server[s]))

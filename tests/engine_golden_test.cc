@@ -1,20 +1,26 @@
-// Golden determinism suite for the event-engine fast path: the optimized
-// engine (compiled profile lookups, incremental scheduler view, sorted
-// arrival cursor) must produce QueryRecord streams bit-identical to the
-// reference (pre-optimization) engine for every covered scenario -- FIFS
-// and ELSA, single-model and mixed traffic, static runs and live
-// reconfigurations, across several seeds.
+// Golden determinism suite for the event engine: the production engine
+// (compiled profile lookups, incremental scheduler view, sorted arrival
+// cursor, bucketed calendar) and ELSA (memoized, size-class-skipping,
+// cached-order scan) must produce QueryRecord streams bit-identical to the
+// independently written oracle in tests/oracle/ -- one binary heap, fresh
+// snapshot vectors, uncompiled lookups, full-scan Algorithm 2 -- for every
+// covered scenario: FIFS and ELSA, single-model and mixed traffic, static
+// runs, live and superseded reconfigurations, the frontend stage, the
+// elastic driver, and ELSA decisions on random snapshot vectors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
+#include "oracle/elsa.h"
+#include "oracle/engine.h"
 #include "sched/elsa.h"
 #include "sched/fifs.h"
 #include "sim/server.h"
@@ -79,54 +85,137 @@ workload::QueryTrace MakeTraceFor(const profile::ModelRepertoire& rep,
 
 enum class Sched { kFifs, kElsa };
 
-struct Scenario {
-  Sched sched = Sched::kFifs;
-  int models = 1;
-  bool reconfigure = false;
-  std::uint64_t seed = 1;
-};
+oracle::ElsaKnobs Knobs(const sched::ElsaParams& p) {
+  return {p.alpha, p.beta, p.locality_tie_sec, p.swap_cost_sec};
+}
 
-std::unique_ptr<sched::Scheduler> MakeSched(
-    const Scenario& s, const profile::ModelRepertoire& rep, SimTime sla,
-    bool reference) {
-  if (s.sched == Sched::kFifs) {
-    return std::make_unique<sched::FifsScheduler>();
+// The production scheduler of `kind`, or -- with `naive` -- the one the
+// oracle engine runs: the full-scan ELSA, and FIFS as is (its vector-view
+// path is the plain idle scan).
+std::unique_ptr<sched::Scheduler> MakeSched(Sched kind,
+                                            const profile::ModelRepertoire& rep,
+                                            SimTime sla,
+                                            const sched::ElsaParams& params,
+                                            bool naive) {
+  if (kind == Sched::kFifs) return std::make_unique<sched::FifsScheduler>();
+  if (naive) {
+    return std::make_unique<oracle::NaiveElsa>(rep, sla, Knobs(params));
   }
-  sched::ElsaParams params;
-  params.locality_tie_sec = s.models > 1 ? 0.002 : 0.0;
-  // The reference leg also takes the uncompiled estimate path, so the
-  // comparison covers both the engine and the scheduler lookups.
-  params.compiled_lookups = !reference;
   return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
 }
 
-SimResult RunScenario(const Scenario& s, bool reference) {
-  const auto rep = MakeRepertoire(s.models);
-  const SimTime sla = MsToTicks(40.0);
-  ServerConfig config;
-  config.partition_gpcs = {1, 1, 2, 3, 7, 7};
-  config.sla_target = sla;
-  config.latency_noise_sigma = 0.25;  // exercise the RNG stream
-  config.seed = s.seed ^ 0xBEEF;
-  config.model_swap_cost = UsToTicks(250.0);
-  config.reference_engine = reference;
-  auto scheduler = MakeSched(s, rep, sla, reference);
-  InferenceServer server(config, rep, *scheduler);
-  const auto trace = MakeTraceFor(rep, 600, s.seed);
-  if (!s.reconfigure) return server.Run(trace);
-  // Live-reconfiguration driving: chunked advances around two layout
-  // swaps (the second supersedes nothing; both complete).
-  server.InjectTrace(trace);
-  server.AdvanceTo(MsToTicks(120.0));
-  server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(15.0));
-  server.AdvanceTo(MsToTicks(300.0));
-  server.BeginReconfigure({1, 2, 3, 3, 7, 7}, MsToTicks(10.0));
-  return server.Finish();
+// One scheduler consultation as the scheduler saw it: the worker states
+// it was shown (every field, Twait included) and what it answered.
+struct Consultation {
+  std::uint64_t query = 0;
+  bool orphan = false;
+  int choice = 0;
+  std::vector<sched::WorkerState> states;
+};
+
+// Forwards to `inner` and logs every consultation, so the two engines are
+// compared on what their schedulers were shown, not only on the records.
+class RecordingScheduler final : public sched::Scheduler {
+ public:
+  RecordingScheduler(std::unique_ptr<sched::Scheduler> inner,
+                     std::vector<Consultation>& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  using Scheduler::OnQueryArrival;
+  using Scheduler::RequeueOrphan;
+  int OnQueryArrival(const workload::Query& query,
+                     const sched::WorkerView& workers) override {
+    Consultation& c = Log(query, /*orphan=*/false, workers);
+    return c.choice = inner_->OnQueryArrival(query, workers);
+  }
+  int RequeueOrphan(const workload::Query& query,
+                    const sched::WorkerView& workers) override {
+    Consultation& c = Log(query, /*orphan=*/true, workers);
+    return c.choice = inner_->RequeueOrphan(query, workers);
+  }
+  bool UsesCentralQueue() const override { return inner_->UsesCentralQueue(); }
+  void OnReconfigure(const std::vector<sched::WorkerState>& old_workers,
+                     const std::vector<sched::WorkerState>& new_workers)
+      override {
+    inner_->OnReconfigure(old_workers, new_workers);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  Consultation& Log(const workload::Query& query, bool orphan,
+                    const sched::WorkerView& workers) {
+    Consultation c;
+    c.query = query.id;
+    c.orphan = orphan;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      c.states.push_back(workers.Get(i));
+    }
+    log_.push_back(std::move(c));
+    return log_.back();
+  }
+
+  std::unique_ptr<sched::Scheduler> inner_;
+  std::vector<Consultation>& log_;
+};
+
+struct Streams {
+  std::vector<QueryRecord> production;
+  std::vector<QueryRecord> oracle;
+  std::vector<Consultation> production_log;
+  std::vector<Consultation> oracle_log;
+};
+
+// Drives one scenario through both stacks: `drive(server)` takes either
+// engine (they share the driving API) and returns its SimResult.
+template <typename Drive>
+Streams RunBoth(const ServerConfig& config,
+                const profile::ModelRepertoire& rep, Sched kind,
+                const sched::ElsaParams& params, Drive&& drive) {
+  Streams out;
+  RecordingScheduler fast_sched(
+      MakeSched(kind, rep, config.sla_target, params, /*naive=*/false),
+      out.production_log);
+  InferenceServer fast(config, rep, fast_sched);
+  out.production = drive(fast).records;
+  RecordingScheduler naive_sched(
+      MakeSched(kind, rep, config.sla_target, params, /*naive=*/true),
+      out.oracle_log);
+  oracle::NaiveServer naive(config, rep, naive_sched);
+  out.oracle = drive(naive).records;
+  return out;
 }
 
-void ExpectIdenticalRecords(const std::vector<QueryRecord>& fast,
-                            const std::vector<QueryRecord>& ref,
-                            const std::string& label) {
+void ExpectIdenticalConsultations(const Streams& streams,
+                                  const std::string& label) {
+  const auto& fast = streams.production_log;
+  const auto& ref = streams.oracle_log;
+  ASSERT_EQ(fast.size(), ref.size()) << label;
+  for (std::size_t k = 0; k < fast.size(); ++k) {
+    const std::string at = label + " consultation " + std::to_string(k);
+    EXPECT_EQ(fast[k].query, ref[k].query) << at;
+    EXPECT_EQ(fast[k].orphan, ref[k].orphan) << at;
+    EXPECT_EQ(fast[k].choice, ref[k].choice) << at;
+    ASSERT_EQ(fast[k].states.size(), ref[k].states.size()) << at;
+    for (std::size_t i = 0; i < fast[k].states.size(); ++i) {
+      const sched::WorkerState& a = fast[k].states[i];
+      const sched::WorkerState& b = ref[k].states[i];
+      EXPECT_EQ(a.index, b.index) << at << " worker " << i;
+      EXPECT_EQ(a.gpcs, b.gpcs) << at << " worker " << i;
+      EXPECT_EQ(a.idle, b.idle) << at << " worker " << i;
+      EXPECT_EQ(a.wait_ticks, b.wait_ticks) << at << " worker " << i;
+      EXPECT_EQ(a.queue_length, b.queue_length) << at << " worker " << i;
+      EXPECT_EQ(a.resident_model, b.resident_model) << at << " worker " << i;
+      EXPECT_EQ(a.failed, b.failed) << at << " worker " << i;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+void ExpectIdenticalRecords(const Streams& streams, const std::string& label) {
+  ExpectIdenticalConsultations(streams, label);
+  if (::testing::Test::HasFailure()) return;
+  const std::vector<QueryRecord>& fast = streams.production;
+  const std::vector<QueryRecord>& ref = streams.oracle;
   ASSERT_EQ(fast.size(), ref.size()) << label;
   for (std::size_t i = 0; i < fast.size(); ++i) {
     const QueryRecord& a = fast[i];
@@ -143,9 +232,44 @@ void ExpectIdenticalRecords(const std::vector<QueryRecord>& fast,
     EXPECT_EQ(a.model_swap, b.model_swap) << label << " record " << i;
     EXPECT_EQ(a.reconfig_stalls, b.reconfig_stalls)
         << label << " record " << i;
+    EXPECT_EQ(a.failed, b.failed) << label << " record " << i;
     // One diverging record is enough detail.
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+std::size_t CountStalled(const std::vector<QueryRecord>& records) {
+  std::size_t n = 0;
+  for (const QueryRecord& r : records) n += r.reconfig_stalls > 0 ? 1 : 0;
+  return n;
+}
+
+std::string Label(Sched sched, int models, std::uint64_t seed) {
+  std::string label = sched == Sched::kFifs ? "FIFS" : "ELSA";
+  label += "/m";
+  label += std::to_string(models);
+  label += "/seed";
+  label += std::to_string(seed);
+  return label;
+}
+
+// The shared scenario shape: a noisy six-partition server with a swap
+// charge, so the RNG stream, the swap path and both schedulers' choices
+// all shape the records.
+ServerConfig ScenarioConfig(std::uint64_t seed) {
+  ServerConfig config;
+  config.partition_gpcs = {1, 1, 2, 3, 7, 7};
+  config.sla_target = MsToTicks(40.0);
+  config.latency_noise_sigma = 0.25;  // exercise the RNG stream
+  config.seed = seed ^ 0xBEEF;
+  config.model_swap_cost = UsToTicks(250.0);
+  return config;
+}
+
+sched::ElsaParams ScenarioParams(int models) {
+  sched::ElsaParams params;
+  params.locality_tie_sec = models > 1 ? 0.002 : 0.0;
+  return params;
 }
 
 TEST(EngineGolden, FastPathMatchesReferenceEverywhere) {
@@ -153,16 +277,25 @@ TEST(EngineGolden, FastPathMatchesReferenceEverywhere) {
     for (const int models : {1, 3}) {
       for (const bool reconfigure : {false, true}) {
         for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-          const Scenario s{sched, models, reconfigure, seed};
-          std::string label = sched == Sched::kFifs ? "FIFS" : "ELSA";
-          label += "/m";
-          label += std::to_string(models);
+          const auto rep = MakeRepertoire(models);
+          const auto trace = MakeTraceFor(rep, 600, seed);
+          std::string label = Label(sched, models, seed);
           label += reconfigure ? "/reconfig" : "/static";
-          label += "/seed";
-          label += std::to_string(seed);
-          const auto fast = RunScenario(s, /*reference=*/false);
-          const auto ref = RunScenario(s, /*reference=*/true);
-          ExpectIdenticalRecords(fast.records, ref.records, label);
+          const auto streams = RunBoth(
+              ScenarioConfig(seed), rep, sched, ScenarioParams(models),
+              [&](auto& server) {
+                if (!reconfigure) return server.Run(trace);
+                // Live-reconfiguration driving: chunked advances around
+                // two layout swaps (the second supersedes nothing; both
+                // complete).
+                server.InjectTrace(trace);
+                server.AdvanceTo(MsToTicks(120.0));
+                server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(15.0));
+                server.AdvanceTo(MsToTicks(300.0));
+                server.BeginReconfigure({1, 2, 3, 3, 7, 7}, MsToTicks(10.0));
+                return server.Finish();
+              });
+          ExpectIdenticalRecords(streams, label);
           if (::testing::Test::HasFailure()) return;
         }
       }
@@ -170,39 +303,105 @@ TEST(EngineGolden, FastPathMatchesReferenceEverywhere) {
   }
 }
 
-// Out-of-order injection falls off the sorted cursor onto the heap; the
-// merged order must still equal the reference engine's single-queue order.
+// A second and third BeginReconfigure inside an open window: the target
+// layout is retargeted, a shorter downtime never shortens the window, a
+// longer one extends it, and the superseded windows' completions are
+// ignored.
+TEST(EngineGolden, SupersededReconfigurationMatchesReference) {
+  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
+    for (const int models : {1, 3}) {
+      for (const std::uint64_t seed : {3ull, 19ull}) {
+        const auto rep = MakeRepertoire(models);
+        const auto trace = MakeTraceFor(rep, 600, seed);
+        const auto streams = RunBoth(
+            ScenarioConfig(seed), rep, sched, ScenarioParams(models),
+            [&](auto& server) {
+              server.InjectTrace(trace);
+              server.AdvanceTo(MsToTicks(100.0));
+              server.BeginReconfigure({2, 2, 3, 7}, MsToTicks(40.0));
+              server.AdvanceTo(MsToTicks(110.0));
+              server.BeginReconfigure({1, 1, 3, 7, 7}, MsToTicks(5.0));
+              server.AdvanceTo(MsToTicks(120.0));
+              server.BeginReconfigure({3, 3, 7}, MsToTicks(60.0));
+              server.AdvanceTo(MsToTicks(400.0));
+              server.BeginReconfigure({1, 2, 3, 7, 7}, MsToTicks(10.0));
+              return server.Finish();
+            });
+        const std::string label = Label(sched, models, seed) + "/superseded";
+        ExpectIdenticalRecords(streams, label);
+        EXPECT_GT(CountStalled(streams.production), 0u) << label;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// The frontend keeps preprocessing through a reconfiguration window:
+// frontend completions land while dispatch is held and are re-dispatched
+// when the new layout comes up.
+TEST(EngineGolden, FrontendReconfigurationMatchesReference) {
+  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
+    for (const int models : {1, 3}) {
+      const std::uint64_t seed = 29;
+      const auto rep = MakeRepertoire(models);
+      const auto trace = MakeTraceFor(rep, 600, seed);
+      ServerConfig config = ScenarioConfig(seed);
+      config.frontend.enabled = true;
+      config.frontend.lanes = 3;
+      config.frontend.cost_per_query = UsToTicks(900.0);
+      const auto streams = RunBoth(
+          config, rep, sched, ScenarioParams(models), [&](auto& server) {
+            server.InjectTrace(trace);
+            server.AdvanceTo(MsToTicks(150.0));
+            server.BeginReconfigure({2, 3, 7, 7}, MsToTicks(20.0));
+            server.AdvanceTo(MsToTicks(160.0));
+            server.BeginReconfigure({1, 2, 2, 7}, MsToTicks(10.0));
+            return server.Finish();
+          });
+      const std::string label = Label(sched, models, seed) + "/frontend";
+      ExpectIdenticalRecords(streams, label);
+      EXPECT_GT(CountStalled(streams.production), 0u) << label;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+std::vector<workload::Query> QueriesAt(const std::vector<SimTime>& arrivals,
+                                       int batch) {
+  std::vector<workload::Query> qs;
+  for (const SimTime at : arrivals) {
+    workload::Query q;
+    q.id = qs.size();
+    q.arrival = at;
+    q.batch = batch;
+    qs.push_back(q);
+  }
+  return qs;
+}
+
+// Out-of-order injection falls off the sorted cursor into the calendar;
+// the merged order must still be the oracle heap's (time, seq) order.
 TEST(EngineGolden, OutOfOrderInjectionMatchesReference) {
   const auto rep = MakeRepertoire(1);
   ServerConfig config;
   config.partition_gpcs = {1, 7};
   config.sla_target = MsToTicks(30.0);
   config.seed = 5;
-  std::vector<workload::Query> qs;
-  const SimTime arrivals[] = {MsToTicks(0.0), MsToTicks(9.0), MsToTicks(3.0),
-                              MsToTicks(3.0), MsToTicks(12.0), MsToTicks(1.0)};
-  for (std::size_t i = 0; i < 6; ++i) {
-    workload::Query q;
-    q.id = i;
-    q.arrival = arrivals[i];
-    q.batch = 8;
-    qs.push_back(q);
-  }
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    for (const auto& q : qs) server.InjectQuery(q);
-    results.push_back(server.Finish().records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "out-of-order");
+  const auto qs =
+      QueriesAt({MsToTicks(0.0), MsToTicks(9.0), MsToTicks(3.0),
+                 MsToTicks(3.0), MsToTicks(12.0), MsToTicks(1.0)},
+                /*batch=*/8);
+  const auto streams =
+      RunBoth(config, rep, Sched::kFifs, {}, [&](auto& server) {
+        for (const auto& q : qs) server.InjectQuery(q);
+        return server.Finish();
+      });
+  ExpectIdenticalRecords(streams, "out-of-order");
 }
 
 // Calendar-ordering scenarios: each stresses one structural mechanism of
 // the bucketed event calendar (sim/event_calendar.h) and pins the result
-// record-by-record against the reference engine's single binary heap.
+// record-by-record against the oracle's single binary heap.
 
 // Same-timestamp bursts: many arrivals share one instant, so their
 // frontend/worker completion events collide on single timestamps too; the
@@ -229,15 +428,13 @@ TEST(EngineGolden, SameInstantBurstTieBreakMatchesReference) {
     }
   }
   const workload::QueryTrace trace(std::move(qs));
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    results.push_back(server.Run(trace).records);
+  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
+    const auto streams = RunBoth(
+        config, rep, sched, {}, [&](auto& server) { return server.Run(trace); });
+    ExpectIdenticalRecords(streams, sched == Sched::kFifs
+                                        ? "same-instant bursts/FIFS"
+                                        : "same-instant bursts/ELSA");
   }
-  ExpectIdenticalRecords(results[0], results[1], "same-instant bursts");
 }
 
 // Overflow-spill promotion: out-of-order injections spanning several
@@ -253,26 +450,19 @@ TEST(EngineGolden, FarFutureSpillPromotionMatchesReference) {
   // Alternating near/far arrivals in injection order: every second query
   // breaks the sorted-cursor invariant and falls into the calendar, with
   // times spread over ~8 s (hundreds of wheel horizons apart).
-  std::vector<workload::Query> qs;
+  std::vector<SimTime> arrivals;
   for (std::size_t i = 0; i < 40; ++i) {
-    workload::Query q;
-    q.id = i;
-    q.arrival = (i % 2 == 0)
-                    ? MsToTicks(1.0 * static_cast<double>(i))
-                    : MsToTicks(8000.0 - 150.0 * static_cast<double>(i));
-    q.batch = 4;
-    qs.push_back(q);
+    arrivals.push_back(
+        (i % 2 == 0) ? MsToTicks(1.0 * static_cast<double>(i))
+                     : MsToTicks(8000.0 - 150.0 * static_cast<double>(i)));
   }
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    for (const auto& q : qs) server.InjectQuery(q);
-    results.push_back(server.Finish().records);
-  }
-  ExpectIdenticalRecords(results[0], results[1], "far-future spill");
+  const auto qs = QueriesAt(arrivals, /*batch=*/4);
+  const auto streams =
+      RunBoth(config, rep, Sched::kFifs, {}, [&](auto& server) {
+        for (const auto& q : qs) server.InjectQuery(q);
+        return server.Finish();
+      });
+  ExpectIdenticalRecords(streams, "far-future spill");
 }
 
 // Out-of-order fallback under incremental driving: chunked AdvanceTo
@@ -284,41 +474,100 @@ TEST(EngineGolden, IncrementalOutOfOrderWavesMatchReference) {
   config.partition_gpcs = {1, 2, 7};
   config.sla_target = MsToTicks(30.0);
   config.seed = 31;
-  std::vector<std::vector<QueryRecord>> results;
-  for (const bool reference : {false, true}) {
-    auto c = config;
-    c.reference_engine = reference;
-    sched::FifsScheduler fifs;
-    InferenceServer server(c, rep, fifs);
-    std::uint64_t id = 0;
-    for (int wave = 0; wave < 4; ++wave) {
-      const SimTime base = MsToTicks(25.0 * static_cast<double>(wave));
-      // Each wave injects: ahead-of-now in-order arrivals, then a burst
-      // that jumps backwards relative to the previous push (calendar
-      // fallback), all at or after the current clock.
-      for (int k = 0; k < 6; ++k) {
-        workload::Query q;
-        q.id = id++;
-        q.arrival = base + MsToTicks(20.0 + static_cast<double>(k));
-        q.batch = 8;
-        server.InjectQuery(q);
-      }
-      for (int k = 0; k < 6; ++k) {
-        workload::Query q;
-        q.id = id++;
-        q.arrival = base + MsToTicks(5.0 + 2.0 * static_cast<double>(k));
-        q.batch = 2;
-        server.InjectQuery(q);
-      }
-      server.AdvanceTo(base + MsToTicks(25.0));
+  const auto streams =
+      RunBoth(config, rep, Sched::kFifs, {}, [&](auto& server) {
+        std::uint64_t id = 0;
+        for (int wave = 0; wave < 4; ++wave) {
+          const SimTime base = MsToTicks(25.0 * static_cast<double>(wave));
+          // Each wave injects: ahead-of-now in-order arrivals, then a
+          // burst that jumps backwards relative to the previous push
+          // (calendar fallback), all at or after the current clock.
+          for (int k = 0; k < 6; ++k) {
+            workload::Query q;
+            q.id = id++;
+            q.arrival = base + MsToTicks(20.0 + static_cast<double>(k));
+            q.batch = 8;
+            server.InjectQuery(q);
+          }
+          for (int k = 0; k < 6; ++k) {
+            workload::Query q;
+            q.id = id++;
+            q.arrival = base + MsToTicks(5.0 + 2.0 * static_cast<double>(k));
+            q.batch = 2;
+            server.InjectQuery(q);
+          }
+          server.AdvanceTo(base + MsToTicks(25.0));
+        }
+        return server.Finish();
+      });
+  ExpectIdenticalRecords(streams, "incremental waves");
+}
+
+// Same-tick collisions between arrivals and completions: every latency
+// is exactly 1 ms (estimated 1.5 ms, so a worker finishing "early" still
+// shows in-flight Twait) and arrivals sit on a 0.5 ms grid, so arrivals,
+// completions and frontend releases keep landing on one tick.  Waves are
+// injected after each AdvanceTo, so late-injected arrivals carry higher
+// seqs than the completions already pending at their tick: the (time,
+// seq) order, not the arrival-first cursor, must decide.
+TEST(EngineGolden, SameTickArrivalCompletionCollisionsMatchReference) {
+  profile::ProfileTable table("flat", {1, 2, 3, 7}, {1, 2, 4, 8, 16, 32});
+  for (int g : table.partition_sizes()) {
+    for (int b : table.batch_sizes()) {
+      profile::ProfileEntry e;
+      e.latency_sec = 1.5e-3;
+      e.utilization = 0.5;
+      table.Set(g, b, e);
     }
-    results.push_back(server.Finish().records);
   }
-  ExpectIdenticalRecords(results[0], results[1], "incremental waves");
+  profile::ModelRepertoire rep;
+  rep.Register("flat", table, [](int, int) { return 1e-3; });
+  ServerConfig config;
+  config.partition_gpcs = {1, 2, 7};
+  config.sla_target = MsToTicks(4.0);
+  config.seed = 41;
+  for (const Sched sched : {Sched::kFifs, Sched::kElsa}) {
+    for (const bool frontend : {false, true}) {
+      ServerConfig c = config;
+      c.frontend.enabled = frontend;
+      c.frontend.lanes = 2;
+      c.frontend.cost_per_query = MsToTicks(0.5);
+      const auto streams = RunBoth(c, rep, sched, {}, [&](auto& server) {
+        std::uint64_t id = 0;
+        for (int wave = 0; wave < 20; ++wave) {
+          const SimTime base = MsToTicks(5.0 * static_cast<double>(wave));
+          server.AdvanceTo(base);
+          for (int k = 0; k < 10; ++k) {
+            workload::Query q;
+            q.id = id++;
+            q.arrival = base + MsToTicks(0.5 * static_cast<double>(k));
+            q.batch = 4;
+            server.InjectQuery(q);
+          }
+        }
+        return server.Finish();
+      });
+      std::string label = sched == Sched::kFifs ? "collisions/FIFS"
+                                                : "collisions/ELSA";
+      if (frontend) label += "/frontend";
+      ExpectIdenticalRecords(streams, label);
+      // Non-vacuous: arrivals really share ticks with completions.
+      std::set<SimTime> finishes;
+      for (const QueryRecord& r : streams.production) {
+        finishes.insert(r.finished);
+      }
+      std::size_t collisions = 0;
+      for (const QueryRecord& r : streams.production) {
+        collisions += finishes.count(r.arrival);
+      }
+      EXPECT_GT(collisions, 20u) << label;
+    }
+  }
 }
 
 // The elastic driver (epoch advances + controller-ordered live
-// reconfigurations) over both engines: per-epoch and total stats match
+// reconfigurations) against the oracle engine replaying the same epoch
+// boundaries and reconfiguration points: per-epoch and total stats match
 // exactly.
 class ForcedSwitchPolicy final : public online::RepartitionPolicy {
  public:
@@ -356,45 +605,173 @@ class ForcedSwitchPolicy final : public online::RepartitionPolicy {
 TEST(EngineGolden, ElasticDriverMatchesReference) {
   const auto rep = MakeRepertoire(3);
   const SimTime sla = MsToTicks(40.0);
+  const std::size_t per_epoch = 250;
+  const SimTime swap_cost = UsToTicks(250.0);
   const auto trace = MakeTraceFor(rep, 900, /*seed=*/11);
-  std::vector<online::ElasticResult> results;
-  for (const bool reference : {false, true}) {
-    ForcedSwitchPolicy policy({1, 2, 7}, {2, 3, 3, 7}, /*switch_at_call=*/2);
-    sched::ElsaParams params;
-    params.locality_tie_sec = 0.002;
-    params.compiled_lookups = !reference;
-    online::ElasticServerSim elastic(
-        policy, rep,
-        [&rep, sla, params] {
-          return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
-        },
-        sla, /*queries_per_epoch=*/250, /*seed=*/77,
-        /*model_swap_cost=*/UsToTicks(250.0));
-    elastic.set_reference_engine(reference);
-    results.push_back(elastic.Run(trace));
+  sched::ElsaParams params;
+  params.locality_tie_sec = 0.002;
+
+  ForcedSwitchPolicy policy({1, 2, 7}, {2, 3, 3, 7}, /*switch_at_call=*/2);
+  online::ElasticServerSim elastic(
+      policy, rep,
+      [&rep, sla, params] {
+        return std::make_unique<sched::ElsaScheduler>(rep, sla, params);
+      },
+      sla, per_epoch, /*seed=*/77, swap_cost);
+  const online::ElasticResult fast = elastic.Run(trace);
+  ASSERT_EQ(fast.reconfigurations, 1);
+
+  // Oracle replay: one continuous run on the initial layout, advanced to
+  // each epoch's first arrival, reconfigured where the elastic run was.
+  ServerConfig config;
+  config.partition_gpcs = {1, 2, 7};
+  config.sla_target = sla;
+  config.seed = 77;
+  config.model_swap_cost = swap_cost;
+  oracle::NaiveElsa naive_elsa(rep, sla, Knobs(params));
+  oracle::NaiveServer naive(config, rep, naive_elsa);
+  naive.InjectTrace(trace);
+  for (std::size_t e = 1; e < fast.epochs.size(); ++e) {
+    naive.AdvanceTo(trace.queries()[e * per_epoch].arrival);
+    if (fast.epochs[e].reconfigured) {
+      naive.BeginReconfigure(fast.epochs[e].layout,
+                             policy.config().reconfig_downtime);
+    }
   }
-  const auto& fast = results[0];
-  const auto& ref = results[1];
-  EXPECT_EQ(fast.reconfigurations, 1);
-  ASSERT_EQ(fast.reconfigurations, ref.reconfigurations);
-  ASSERT_EQ(fast.epochs.size(), ref.epochs.size());
+  const auto records = naive.Finish().records;
+
   for (std::size_t e = 0; e < fast.epochs.size(); ++e) {
-    EXPECT_EQ(fast.epochs[e].queries, ref.epochs[e].queries) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].p95_ms, ref.epochs[e].p95_ms) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].violation_rate, ref.epochs[e].violation_rate)
+    const std::size_t begin = e * per_epoch;
+    const std::size_t end = std::min(begin + per_epoch, records.size());
+    const std::vector<QueryRecord> slice(
+        records.begin() + static_cast<std::ptrdiff_t>(begin),
+        records.begin() + static_cast<std::ptrdiff_t>(end));
+    const auto ref = ComputeStats(slice, sla, /*warmup_fraction=*/0.0);
+    EXPECT_EQ(fast.epochs[e].queries, slice.size()) << "epoch " << e;
+    EXPECT_EQ(fast.epochs[e].p95_ms, ref.p95_latency_ms) << "epoch " << e;
+    EXPECT_EQ(fast.epochs[e].violation_rate, ref.sla_violation_rate)
         << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].stalled, ref.epochs[e].stalled) << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].reconfigured, ref.epochs[e].reconfigured)
-        << "epoch " << e;
-    EXPECT_EQ(fast.epochs[e].layout, ref.epochs[e].layout) << "epoch " << e;
+    EXPECT_EQ(fast.epochs[e].stalled, ref.reconfig_stalled) << "epoch " << e;
   }
-  EXPECT_EQ(fast.total.completed, ref.total.completed);
-  EXPECT_EQ(fast.total.p95_latency_ms, ref.total.p95_latency_ms);
-  EXPECT_EQ(fast.total.p99_latency_ms, ref.total.p99_latency_ms);
-  EXPECT_EQ(fast.total.mean_latency_ms, ref.total.mean_latency_ms);
-  EXPECT_EQ(fast.total.sla_violation_rate, ref.total.sla_violation_rate);
-  EXPECT_EQ(fast.total.reconfig_stalled, ref.total.reconfig_stalled);
-  EXPECT_EQ(fast.total.model_swaps, ref.total.model_swaps);
+  const auto ref = ComputeStats(records, sla, /*warmup_fraction=*/0.0);
+  EXPECT_GT(ref.reconfig_stalled, 0u);
+  EXPECT_EQ(fast.total.completed, ref.completed);
+  EXPECT_EQ(fast.total.p95_latency_ms, ref.p95_latency_ms);
+  EXPECT_EQ(fast.total.p99_latency_ms, ref.p99_latency_ms);
+  EXPECT_EQ(fast.total.mean_latency_ms, ref.mean_latency_ms);
+  EXPECT_EQ(fast.total.sla_violation_rate, ref.sla_violation_rate);
+  EXPECT_EQ(fast.total.reconfig_stalled, ref.reconfig_stalled);
+  EXPECT_EQ(fast.total.model_swaps, ref.model_swaps);
+}
+
+// A stable view over a snapshot vector: lets the production ELSA cache its
+// candidate order and take its size-class skips, as it does on the
+// engine's live view, while the test controls every field.
+class StableVectorView final : public sched::WorkerView {
+ public:
+  StableVectorView(const std::vector<sched::WorkerState>& states,
+                   std::uint64_t version)
+      : states_(states), version_(version) {}
+  std::size_t size() const override { return states_.size(); }
+  const sched::WorkerState& Get(std::size_t i) const override {
+    return states_[i];
+  }
+  bool stable() const override { return true; }
+  std::uint64_t layout_version() const override { return version_; }
+
+ private:
+  const std::vector<sched::WorkerState>& states_;
+  std::uint64_t version_;
+};
+
+// Decision-level golden: ELSA against the full-scan oracle on random
+// snapshot vectors -- failed workers, resident models, positions shuffled
+// away from worker indices, swap and locality knobs on, alpha/beta != 1 --
+// through both an ad-hoc vector view and a stable view (order cache and
+// size-class skips engaged).
+TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
+  const auto rep = MakeRepertoire(3);
+  Rng rng(0xE15A);
+  const int sizes[] = {1, 2, 3, 7};
+  std::size_t step_a = 0;
+  std::size_t step_b = 0;
+  std::size_t declined = 0;
+  std::size_t locality_wins = 0;
+  for (std::uint64_t trial = 1; trial <= 400; ++trial) {
+    sched::ElsaParams params;
+    params.alpha = rng.Uniform(0.25, 2.0);
+    params.beta = rng.Uniform(0.25, 2.0);
+    params.swap_cost_sec = trial % 4 == 0 ? 0.0 : rng.Uniform(1e-5, 4e-3);
+    params.locality_tie_sec = trial % 3 == 0 ? 0.0 : rng.Uniform(1e-5, 5e-3);
+    const SimTime sla = MsToTicks(rng.Uniform(1.0, 25.0));
+    sched::ElsaScheduler adhoc(rep, sla, params);
+    sched::ElsaScheduler cached(rep, sla, params);
+    oracle::NaiveElsa naive(rep, sla, Knobs(params));
+    oracle::ElsaKnobs no_tie = Knobs(params);
+    no_tie.locality_tie_sec = 0.0;
+    oracle::NaiveElsa plain(rep, sla, no_tie);
+
+    // One layout per trial: worker indices are size-ascending, positions
+    // are shuffled.
+    const auto workers = static_cast<std::size_t>(rng.UniformInt(1, 24));
+    std::vector<int> layout;
+    for (std::size_t i = 0; i < workers; ++i) {
+      layout.push_back(sizes[rng.UniformInt(0, 3)]);
+    }
+    std::sort(layout.begin(), layout.end());
+    std::vector<sched::WorkerState> states(workers);
+    for (std::size_t i = 0; i < workers; ++i) {
+      states[i].index = static_cast<int>(i);
+      states[i].gpcs = layout[i];
+    }
+    for (std::size_t i = workers; i > 1; --i) {
+      std::swap(states[i - 1],
+                states[static_cast<std::size_t>(
+                    rng.UniformInt(0, static_cast<std::int64_t>(i) - 1))]);
+    }
+
+    for (int call = 0; call < 25; ++call) {
+      for (auto& w : states) {
+        w.failed = rng.NextDouble() < 0.15;
+        w.resident_model = static_cast<int>(rng.UniformInt(-1, 2));
+        w.queue_length = static_cast<std::size_t>(rng.UniformInt(0, 3));
+        w.wait_ticks =
+            rng.NextDouble() < 0.25 ? 0 : MsToTicks(rng.Uniform(0.0, 20.0));
+        w.idle = !w.failed && w.wait_ticks == 0 && w.queue_length == 0;
+      }
+      workload::Query q;
+      q.id = static_cast<std::uint64_t>(call);
+      q.model_id = static_cast<int>(rng.UniformInt(0, 2));
+      q.batch = static_cast<int>(rng.UniformInt(1, 32));
+      const int expected = naive.OnQueryArrival(q, states);
+      EXPECT_EQ(adhoc.OnQueryArrival(q, states), expected)
+          << "trial " << trial << " call " << call << " (vector view)";
+      EXPECT_EQ(cached.OnQueryArrival(q, StableVectorView(states, trial)),
+                expected)
+          << "trial " << trial << " call " << call << " (stable view)";
+      if (::testing::Test::HasFailure()) return;
+      if (expected == sched::kNoAssignment) {
+        ++declined;
+        continue;
+      }
+      // Step A binds a positive-slack worker; Step B only runs when none
+      // is left.
+      const auto& w = *std::find_if(
+          states.begin(), states.end(),
+          [expected](const auto& s) { return s.index == expected; });
+      if (adhoc.SlackSec(w, q.model_id, q.batch) > 0.0) {
+        ++step_a;
+      } else {
+        ++step_b;
+      }
+      if (plain.OnQueryArrival(q, states) != expected) ++locality_wins;
+    }
+  }
+  // Non-vacuous: every branch of Algorithm 2 was exercised.
+  EXPECT_GT(step_a, 1000u);
+  EXPECT_GT(step_b, 1000u);
+  EXPECT_GT(declined, 0u);
+  EXPECT_GT(locality_wins, 100u);
 }
 
 }  // namespace

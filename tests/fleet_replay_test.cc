@@ -1,8 +1,9 @@
 // Replay fidelity for versioned trace capture (satellite of the scenario
 // API): a trace captured from a fleet run and round-tripped through the
-// paris-elsa-trace-v1 format must drive both the fast and the reference
-// engines to record-by-record identical results, and a per-server
-// sub-trace captured with symbolic model names must replay standalone.
+// paris-elsa-trace-v1 format must drive both the production fleet and the
+// oracle fleet replay (tests/oracle/) to record-by-record identical
+// results, and a per-server sub-trace captured with symbolic model names
+// must replay standalone.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,20 +11,20 @@
 #include <vector>
 
 #include "core/fleet_runner.h"
+#include "oracle/fleet.h"
 #include "workload/scenario.h"
 #include "workload/trace_io.h"
 
 namespace pe::core {
 namespace {
 
-FleetTestbedConfig TestFleet(int servers, bool reference) {
+FleetTestbedConfig TestFleet(int servers) {
   FleetTestbedConfig fc;
   fc.mix.models.push_back({"resnet", 0.6, 6.0, 0.9});
   fc.mix.models.push_back({"mobilenet", 0.4, 4.0, 0.8});
   fc.mix.swap_cost_us = 200.0;
   fc.mix.latency_noise_sigma = 0.2;  // exercise the engines' RNG streams
   fc.num_servers = servers;
-  fc.reference_engine = reference;
   return fc;
 }
 
@@ -73,7 +74,7 @@ void ExpectIdenticalStats(const sim::ServerStats& a, const sim::ServerStats& b,
 }
 
 TEST(FleetReplay, CapturedTraceRoundTripsBitFaithfully) {
-  const FleetTestbed tb(TestFleet(4, /*reference=*/false));
+  const FleetTestbed tb(TestFleet(4));
   const auto doc = CaptureFleetTrace(tb, 3000, /*seed=*/7);
 
   std::stringstream ss;
@@ -93,12 +94,11 @@ TEST(FleetReplay, CapturedTraceRoundTripsBitFaithfully) {
 }
 
 // The headline fidelity contract: capture from a 4-server fleet run,
-// replay the loaded trace through the fast AND the reference engines, and
-// the replay is indistinguishable from the original run -- record by
-// record, server by server, at any jobs count.
+// replay the loaded trace through the production fleet AND the oracle
+// replay, and the replay is indistinguishable from the original run --
+// record by record, server by server, at any jobs count.
 TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
-  const FleetTestbed fast_tb(TestFleet(4, /*reference=*/false));
-  const FleetTestbed ref_tb(TestFleet(4, /*reference=*/true));
+  const FleetTestbed fast_tb(TestFleet(4));
   const auto doc = CaptureFleetTrace(fast_tb, 3000, /*seed=*/11);
 
   // Original run on the generated trace.
@@ -109,7 +109,8 @@ TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
   workload::SaveTrace(ss, doc);
   const auto loaded = workload::LoadTrace(ss);
   const auto fast_replay = fast_tb.Run(loaded.trace, /*jobs=*/4);
-  const auto ref_replay = ref_tb.Run(loaded.trace, /*jobs=*/2);
+  const auto ref_replay =
+      oracle::ReplayFleet(fast_tb.cluster(), loaded.trace);
 
   ASSERT_EQ(fast_replay.per_server.size(), original.per_server.size());
   ASSERT_EQ(ref_replay.per_server.size(), original.per_server.size());
@@ -120,7 +121,7 @@ TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
                            label + " (fast replay)");
     ExpectIdenticalRecords(original.per_server[s].records,
                            ref_replay.per_server[s].records,
-                           label + " (reference replay)");
+                           label + " (oracle replay)");
     if (::testing::Test::HasFailure()) return;
   }
 
@@ -134,14 +135,14 @@ TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
   ExpectIdenticalStats(original_stats.aggregate, fast_stats.aggregate,
                        "aggregate (fast)");
   ExpectIdenticalStats(original_stats.aggregate, ref_stats.aggregate,
-                       "aggregate (reference)");
+                       "aggregate (oracle)");
   for (std::size_t s = 0; s < original_stats.per_server.size(); ++s) {
     ExpectIdenticalStats(original_stats.per_server[s],
                          fast_stats.per_server[s],
                          "server " + std::to_string(s) + " stats (fast)");
     ExpectIdenticalStats(
         original_stats.per_server[s], ref_stats.per_server[s],
-        "server " + std::to_string(s) + " stats (reference)");
+        "server " + std::to_string(s) + " stats (oracle)");
   }
 }
 
@@ -150,7 +151,7 @@ TEST(FleetReplay, ReplayDrivesBothEnginesToIdenticalResults) {
 // models[] is the complete repertoire the replay needs, independent of the
 // fleet-global numbering.
 TEST(FleetReplay, ServerSubTraceReplaysStandalone) {
-  FleetTestbedConfig fc = TestFleet(4, /*reference=*/false);
+  FleetTestbedConfig fc = TestFleet(4);
   fc.placement = fleet::PlacementKind::kSharded;
   fc.replicas = 2;
   const FleetTestbed tb(fc);

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "fleet/placement.h"
+#include "oracle/fleet.h"
 #include "workload/arrival.h"
 #include "workload/batch_dist.h"
 #include "workload/scenario.h"
@@ -179,8 +180,8 @@ TEST(SplitTrace, DenseLocalIdsAndModelRemap) {
 }
 
 TEST(SplitTrace, FastSplitMatchesReferenceRecordForRecord) {
-  // The two-pass arena split and the retained per-query reference path
-  // must agree on every byte of every sub-trace, for every policy.
+  // The two-pass arena split and the per-query split oracle must agree on
+  // every byte of every sub-trace, for every policy.
   const auto placement = ShardedPlacement(6, 4, 2);
   const auto trace = MakeTrace(3000, 4, /*seed=*/29);
   for (const auto policy : {RouterPolicy::kHash, RouterPolicy::kLeastLoaded,
@@ -188,7 +189,7 @@ TEST(SplitTrace, FastSplitMatchesReferenceRecordForRecord) {
     auto fast_router = MakeRouter(policy, placement, nullptr, /*seed=*/71);
     auto ref_router = MakeRouter(policy, placement, nullptr, /*seed=*/71);
     const auto fast = SplitTrace(trace, *fast_router, placement);
-    const auto ref = SplitTraceReference(trace, *ref_router, placement);
+    const auto ref = oracle::SplitPerQuery(trace, *ref_router, placement);
     ASSERT_EQ(fast.offsets, ref.offsets) << ToString(policy);
     ASSERT_EQ(fast.global_ids, ref.global_ids) << ToString(policy);
     ASSERT_EQ(fast.arena.size(), ref.arena.size()) << ToString(policy);

@@ -1,6 +1,6 @@
 // Fleet aggregation fidelity: the zero-copy parallel FleetResult::Stats
-// must equal the retained merged-vector reference (StatsReference) field
-// for field -- exact percentiles from the k-way latency merge, per-model
+// must equal the merged-copy oracle (oracle::MergedCopyStats) field for
+// field -- exact percentiles from the k-way latency merge, per-model
 // slices, worker utilizations, and every order-sensitive mean -- across
 // router policies, seeds, and jobs counts.  Plus the unplaced-model
 // routing-error regression at the fleet level.
@@ -14,6 +14,7 @@
 #include "core/fleet_runner.h"
 #include "fleet/cluster.h"
 #include "fleet/router.h"
+#include "oracle/fleet.h"
 #include "sim/metrics.h"
 #include "workload/trace.h"
 
@@ -111,7 +112,7 @@ TEST(FleetStats, ZeroCopyAggregateMatchesReferenceEverywhere) {
       const auto trace = tb.GenerateFleetTrace(/*rate_qps=*/2500.0,
                                                /*num_queries=*/4000, seed);
       const auto result = tb.Run(trace, /*jobs=*/2);
-      const auto ref = result.StatsReference(tb.sla_target());
+      const auto ref = oracle::MergedCopyStats(result, tb.sla_target());
       for (const int jobs : {1, 3}) {
         const auto fast =
             result.Stats(tb.sla_target(), /*warmup_fraction=*/0.1, jobs);
@@ -132,12 +133,13 @@ TEST(FleetStats, AgreesAtZeroWarmupAndOnEmptyResults) {
   const auto result = tb.Run(trace, /*jobs=*/2);
   ExpectIdenticalFleetStats(
       result.Stats(tb.sla_target(), /*warmup_fraction=*/0.0, 2),
-      result.StatsReference(tb.sla_target(), /*warmup_fraction=*/0.0),
+      oracle::MergedCopyStats(result, tb.sla_target(),
+                              /*warmup_fraction=*/0.0),
       "warmup 0");
 
   fleet::FleetResult empty;
   const auto fast = empty.Stats(tb.sla_target(), 0.1, 2);
-  const auto ref = empty.StatsReference(tb.sla_target(), 0.1);
+  const auto ref = oracle::MergedCopyStats(empty, tb.sla_target(), 0.1);
   EXPECT_EQ(fast.routed_queries, 0u);
   ExpectIdenticalFleetStats(fast, ref, "empty result");
 }
@@ -155,14 +157,15 @@ TEST(FleetStats, FallbackOrderOnUnsortedTraceAndForeignIds) {
   std::reverse(reversed.begin(), reversed.end());
   const auto r1 = tb.Run(workload::QueryTrace(std::move(reversed)), /*jobs=*/2);
   ExpectIdenticalFleetStats(r1.Stats(tb.sla_target(), 0.1, 3),
-                            r1.StatsReference(tb.sla_target()),
+                            oracle::MergedCopyStats(r1, tb.sla_target()),
                             "reversed trace");
 
   auto sparse = sorted.queries();
   for (auto& q : sparse) q.id = q.id * 2 + 1;  // ids outside the positions
   const auto r2 = tb.Run(workload::QueryTrace(std::move(sparse)), /*jobs=*/2);
   ExpectIdenticalFleetStats(r2.Stats(tb.sla_target(), 0.1, 3),
-                            r2.StatsReference(tb.sla_target()), "sparse ids");
+                            oracle::MergedCopyStats(r2, tb.sla_target()),
+                            "sparse ids");
 }
 
 TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
@@ -212,7 +215,8 @@ TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
     EXPECT_LE(agg.p99_latency_ms, 6.0);
     EXPECT_EQ(agg.sla_violation_rate, 0.0);
     ExpectIdenticalFleetStats(
-        stats, result.StatsReference(20 * ms, /*warmup_fraction=*/0.0),
+        stats,
+        oracle::MergedCopyStats(result, 20 * ms, /*warmup_fraction=*/0.0),
         "hand-built casualties jobs " + std::to_string(jobs));
     ASSERT_EQ(stats.per_server.size(), 1u);
     EXPECT_EQ(stats.per_server[0].failed, 1u);
@@ -234,7 +238,7 @@ TEST(FleetStats, FaultedRunsAgreeWithTheReferenceEverywhere) {
                          fleet::FaultKind::kServerCrash, /*server=*/1});
   const auto result = tb.RunWithFaults(trace, plan, /*jobs=*/2);
   ASSERT_GT(result.fault.failed + result.fault.shed, 0u);
-  const auto ref = result.StatsReference(tb.sla_target());
+  const auto ref = oracle::MergedCopyStats(result, tb.sla_target());
   EXPECT_GT(ref.aggregate.failed + ref.aggregate.shed, 0u);
   for (const int jobs : {1, 3}) {
     ExpectIdenticalFleetStats(result.Stats(tb.sla_target(), 0.1, jobs), ref,
