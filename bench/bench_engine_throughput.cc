@@ -17,6 +17,13 @@
 // configuration.  Run in Release without PE_BENCH_SMOKE for meaningful
 // numbers.
 //
+// A per-decision leg follows the grid: `elsa_ns_per_decision`, ELSA's
+// mean wall-clock nanoseconds per arrival decision at W in {8, 32, 141,
+// 256} partitions, timed call by call (one steady_clock pair per call, as
+// the repository benchmark's sched.ns_per_decision is) while a live
+// InferenceServer drives it on the 4-model mix -- so the decision reads
+// the engine's own view and free-at index, not a snapshot vector.
+//
 // A fleet-scaling leg follows the single-server grid: the same 4-model
 // mix served by a sharded router-fronted fleet (core::FleetTestbed, 100
 // servers / 1M queries in full mode), with every pipeline stage timed
@@ -145,6 +152,36 @@ std::uint64_t HashRecords(const std::vector<sim::QueryRecord>& records) {
 struct Measurement {
   double qps = 0.0;
   std::uint64_t hash = 0;
+};
+
+// Forwards to `inner`, accumulating the wall-clock time of every arrival
+// decision (orphan re-placements included).
+class TimedScheduler final : public sched::Scheduler {
+ public:
+  explicit TimedScheduler(sched::Scheduler& inner) : inner_(inner) {}
+
+  using Scheduler::OnQueryArrival;
+  int OnQueryArrival(const workload::Query& query,
+                     const sched::WorkerView& workers) override {
+    const auto t0 = std::chrono::steady_clock::now();
+    const int choice = inner_.OnQueryArrival(query, workers);
+    const auto t1 = std::chrono::steady_clock::now();
+    ns_ += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    ++decisions_;
+    return choice;
+  }
+  bool UsesCentralQueue() const override { return inner_.UsesCentralQueue(); }
+  std::string name() const override { return inner_.name(); }
+
+  double ns_per_decision() const {
+    return decisions_ > 0 ? ns_ / static_cast<double>(decisions_) : 0.0;
+  }
+  std::uint64_t decisions() const { return decisions_; }
+
+ private:
+  sched::Scheduler& inner_;
+  double ns_ = 0.0;
+  std::uint64_t decisions_ = 0;
 };
 
 // Best-of-`reps` wall-clock of a full Run (Reset + inject + drain) on
@@ -370,6 +407,42 @@ int main() {
             << Table::Num(headline_qps, 0) << " simulated queries/sec, "
             << Table::Num(headline_speedup, 2)
             << "x over the oracle engine\n";
+
+  // ------------------------------------------------------------------
+  // Per-decision leg: ELSA's cost per arrival on the engine's live view,
+  // best (lowest mean) of `reps` runs per partition count.
+  Table decision_table({"workers", "decisions", "elsa_ns_per_decision"});
+  core::Json elsa_rows = core::Json::Array();
+  for (const int workers : {8, 32, 141, 256}) {
+    const auto layout = MakeLayout(workers);
+    const double rate = RateFor(repertoire, layout);
+    const std::size_t queries = pe::bench::Queries(20000);
+    const std::uint64_t seed = 0xDEC0 + static_cast<std::uint64_t>(workers);
+    const auto trace = MakeTrace(/*mixed=*/true, rate, queries, seed);
+    sim::ServerConfig sc;
+    sc.partition_gpcs = layout;
+    sc.sla_target = sla;
+    sc.seed = 0xBE7C4;
+    double best_ns = std::numeric_limits<double>::infinity();
+    std::uint64_t decisions = 0;
+    for (int r = 0; r < reps; ++r) {
+      sched::ElsaScheduler elsa(repertoire, sla);
+      TimedScheduler timed(elsa);
+      sim::InferenceServer server(sc, repertoire, timed);
+      server.Run(trace);
+      best_ns = std::min(best_ns, timed.ns_per_decision());
+      decisions = timed.decisions();
+    }
+    decision_table.AddRow({std::to_string(workers), std::to_string(decisions),
+                           Table::Num(best_ns, 1)});
+    core::Json row = core::Json::Object();
+    row.Set("workers", workers);
+    row.Set("decisions", decisions);
+    row.Set("ns_per_decision", best_ns);
+    elsa_rows.Add(std::move(row));
+  }
+  std::cout << "\nELSA decision cost on the live view (4-model mix):\n";
+  decision_table.Print(std::cout);
 
   // ------------------------------------------------------------------
   // Fleet-scaling leg: the same 4-model mix behind a sharded router
@@ -692,6 +765,7 @@ int main() {
   data.Set("configs", std::move(configs));
   data.Set("engine_qps_256_mix4_elsa", headline_qps);
   data.Set("speedup_256_mix4_elsa", headline_speedup);
+  data.Set("elsa_ns_per_decision", std::move(elsa_rows));
   data.Set("fleet_servers", fleet_servers);
   data.Set("fleet_queries", static_cast<std::uint64_t>(fleet_trace.size()));
   data.Set("fleet_jobs", fleet_jobs);

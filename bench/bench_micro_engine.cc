@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator:
-// roofline evaluation, profiling, scheduler decisions, PARIS derivation,
-// MIG packing, and end-to-end simulated-query throughput.
+// roofline evaluation, profiling, PARIS derivation, MIG packing, and
+// end-to-end simulated-query throughput.  ELSA's per-decision cost is
+// measured on the engine's live view by bench_engine_throughput
+// (`elsa_ns_per_decision`).
 #include <benchmark/benchmark.h>
 
 #include "core/server_builder.h"
@@ -8,7 +10,6 @@
 #include "partition/paris.h"
 #include "perf/model_zoo.h"
 #include "profile/profiler.h"
-#include "sched/elsa.h"
 #include "workload/trace.h"
 
 namespace {
@@ -35,26 +36,6 @@ void BM_ProfilerFullGrid(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfilerFullGrid);
-
-void BM_ElsaDecision(benchmark::State& state) {
-  const auto n_workers = static_cast<std::size_t>(state.range(0));
-  profile::ProfileTable table("toy", {1, 7}, {32});
-  table.Set(1, 32, {10e-3, 0.9});
-  table.Set(7, 32, {2e-3, 0.5});
-  sched::ElsaScheduler elsa(table, MsToTicks(15.0));
-  std::vector<sched::WorkerState> workers(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i) {
-    workers[i].index = static_cast<int>(i);
-    workers[i].gpcs = (i % 2) ? 7 : 1;
-    workers[i].wait_ticks = static_cast<SimTime>(i) * MsToTicks(1.0);
-  }
-  workload::Query q;
-  q.batch = 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(elsa.OnQueryArrival(q, workers));
-  }
-}
-BENCHMARK(BM_ElsaDecision)->Arg(8)->Arg(32)->Arg(56);
 
 void BM_ParisDerive(benchmark::State& state) {
   profile::Profiler profiler;

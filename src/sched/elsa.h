@@ -18,24 +18,40 @@
 // query's own model profile plus the in-flight query's elapsed timestamp).
 //
 // Hot-path mechanics: Testimated lookups go through a CompiledProfile
-// (dense arrays instead of map + lower_bound), the size-ascending candidate
-// order is computed once per layout and cached against a stable
-// WorkerView's layout_version() instead of re-sorting every arrival,
-// Testimated,new is computed once per distinct partition size per arrival
-// (it depends only on (model, batch, gpcs)), and each candidate's
-// slack/completion prediction is computed at most once per arrival (Step A,
-// the locality tie-break, and Step B share the memo).  The cached order
-// groups workers into contiguous equal-size runs; when even a zero-wait
-// worker of a size class has non-positive slack, the whole class is skipped
-// -- valid because slack is monotone non-increasing in Twait under IEEE
-// rounding (for alpha >= 0), so every member would have failed the same
-// test.  None of this changes any decision: compiled values are
-// bit-identical by construction and the visit order (and every comparison
-// outcome) is that of the plain Algorithm 2 scan.  The golden baseline is
-// the full-scan ELSA in tests/oracle/ (no memo, no skips, no cached order,
-// uncompiled lookups), pinned against this one decision by decision on
-// random snapshot vectors and record by record through the engine
-// (engine_golden_test).
+// (dense arrays instead of map + lower_bound), and the size-ascending
+// candidate order -- contiguous equal-gpcs runs ("size classes") -- is
+// computed once per layout and cached against a stable WorkerView's
+// layout_version().  Neither step scans every partition:
+//  * Step A.  Slack is monotone non-increasing in Twait + Tswap under IEEE
+//    rounding (alpha >= 0, Tswap >= 0), so a class holds a positive-slack
+//    partition only if some member's wait is at most the class threshold:
+//    the largest wait in ticks whose swap-free slack -- the same double
+//    expression with Tswap = 0 -- is positive.  The threshold is found by
+//    monotone search and memoized per (model, batch, gpcs) for the
+//    scheduler's lifetime; it is negative when not even a zero wait
+//    passes, so the live view answers such a class at once.  The
+//    view's FirstWaitAtMost primitive lists the class's candidates under
+//    it in position order, and each is verified with the exact slack,
+//    swap and failed checks.  The locality tie-break uses the same filter,
+//    starting after the default choice (nothing before it has positive
+//    slack).
+//  * Step B.  Branch and bound per class: completion >= Twait +
+//    Testimated,new, so only waits whose swap-free completion beats the
+//    running minimum can improve it.  That gives a tick bound (again by
+//    monotone search over the same double expression); candidates under
+//    it are compared exactly with strict `<` in position order, and the
+//    bound tightens as the minimum falls.
+// On the server's live view FirstWaitAtMost is an O(log W) min-tree query
+// over lower bounds on each partition's free-at time, so a decision costs
+// O(classes * log W) plus the candidates it verifies; ad-hoc views answer
+// it with a plain scan (views whose positions are not in (gpcs, index)
+// order are re-indexed by rank first), so there is one code path.  None
+// of this changes any decision: every accept and every comparison is the
+// plain Algorithm 2 expression on the exact wait, in the plain scan's
+// order.  The golden baseline is the full-scan ELSA in tests/oracle/ (no
+// thresholds, no index, no cached order, uncompiled lookups), pinned
+// against this one decision by decision on random snapshot vectors and
+// record by record through the engine (engine_golden_test).
 //
 // Multi-model extension: constructed from a ModelRepertoire, ELSA routes
 // every Testimated,new lookup through the *arriving query's* model profile,
@@ -101,11 +117,12 @@ class ElsaScheduler final : public Scheduler {
   int OnQueryArrival(const workload::Query& query,
                      const WorkerView& workers) override;
   bool UsesCentralQueue() const override { return false; }
-  // Reconfiguration hooks: ELSA's only cross-call state is the per-layout
+  // Reconfiguration hooks: ELSA's cross-call state is the per-layout
   // candidate order, which is keyed on the stable view's layout_version()
-  // and self-invalidates when the server swaps layouts, and the default
-  // RequeueOrphan (re-run Step A/B against the new layout) is exactly the
-  // right policy for orphans -- so the base-class defaults apply.
+  // and self-invalidates when the server swaps layouts, and the per-class
+  // thresholds, which depend on no layout; the default RequeueOrphan
+  // (re-run Step A/B against the new layout) is exactly the right policy
+  // for orphans -- so the base-class defaults apply.
   std::string name() const override { return "ELSA"; }
 
   SimTime sla_target() const { return sla_target_; }
@@ -119,10 +136,33 @@ class ElsaScheduler final : public Scheduler {
   double SlackSec(const WorkerState& worker, int model_id, int batch) const;
 
  private:
-  // Rebuilds the (gpcs, index)-ascending candidate order unless it is
-  // already cached for this view's layout; also sizes the per-arrival
-  // memo arrays.
+  // Step A's filter for one (model, gpcs, batch) size class.
+  struct ClassTerms {
+    double tnew_sec = 0.0;  // Testimated,new
+    // Largest wait in ticks whose swap-free slack passes Step A's test
+    // (negative when not even a zero wait passes).
+    SimTime max_wait = 0;
+    bool known = false;  // memo slot filled
+  };
+
+  // Rebuilds the (gpcs, index)-ascending candidate order and its size
+  // runs unless they are already cached for this view's layout.
   void RefreshCandidates(const WorkerView& workers);
+  // Algorithm 2 over a view whose positions are (gpcs, index)-ascending.
+  int Decide(const workload::Query& query, const WorkerView& sorted);
+  // The locality tie-break: the first swap-free positive-slack candidate
+  // after rank `after` (in run `run`) whose completion is <= `bound`.
+  int LocalityWinner(const workload::Query& query, const WorkerView& sorted,
+                     std::size_t run, std::size_t after, double bound);
+  ClassTerms Terms(int model_id, int gpcs, int batch);
+  // The predictor terms given Testimated,new, written exactly as
+  // Algorithm 2 (and SlackSec) write them.
+  double SwapSec(const WorkerState& worker, int model_id) const;
+  double PredictedSlack(const WorkerState& worker, int model_id,
+                        double tnew_sec) const;
+  double PredictedCompletion(const WorkerState& worker, int model_id,
+                             double tnew_sec) const;
+  ClassTerms ComputeTerms(int model_id, int gpcs, int batch) const;
 
   profile::CompiledProfile compiled_;
   SimTime sla_target_;
@@ -130,29 +170,23 @@ class ElsaScheduler final : public Scheduler {
 
   // Candidate order (view positions, ascending by (gpcs, index)), cached
   // across arrivals while the stable view's layout_version() holds,
-  // grouped into contiguous equal-gpcs runs for the size-class skip.
+  // grouped into contiguous equal-gpcs runs over ranks.  `sorted_`: the
+  // order is the identity, so the view is searched directly.
   struct SizeRun {
     int gpcs = 0;
-    std::uint32_t begin = 0;  // [begin, end) into order_
+    std::uint32_t begin = 0;  // [begin, end) of ranks
     std::uint32_t end = 0;
   };
   std::vector<std::uint32_t> order_;
   std::vector<SizeRun> runs_;
+  bool sorted_ = false;
   std::uint64_t order_version_ = 0;
   bool order_cached_ = false;
 
-  // Per-arrival memo of the predictor terms, stamped by arrival so the
-  // arrays never need clearing.  tnew is keyed by gpcs (the only variable
-  // of Testimated,new within one arrival); slack/completion by candidate.
-  std::uint64_t arrival_stamp_ = 0;
-  std::vector<double> tnew_memo_;
-  std::vector<std::uint64_t> tnew_stamp_;
-  std::vector<double> twait_memo_;
-  std::vector<std::uint64_t> twait_stamp_;
-  std::vector<double> slack_memo_;
-  std::vector<double> completion_memo_;
-  std::vector<std::uint64_t> slack_stamp_;
-  std::vector<std::uint64_t> completion_stamp_;
+  // memo_[model][batch][gpcs]; grown on demand (batches past
+  // kMemoBatchLimit and negative keys are computed per call).
+  static constexpr int kMemoBatchLimit = 4096;
+  std::vector<std::vector<std::vector<ClassTerms>>> memo_;
 };
 
 }  // namespace pe::sched

@@ -18,12 +18,16 @@
 // from the profiled lookup table.
 //
 // Snapshots are delivered through a WorkerView -- an indexed, read-only
-// window onto the worker set.  The server's live view materializes a
-// worker's state lazily and only when it actually changed, so consulting
-// the scheduler no longer copies (or re-sorts) all W workers per arrival;
-// VectorWorkerView wraps a plain snapshot vector for tests and for the
-// naive engine in tests/oracle/, the golden baseline that hands every
-// consultation a freshly built vector.
+// window onto the worker set.  Besides Get(i), a view answers one search:
+// FirstWaitAtMost, the leftmost position in a range that may hold a
+// non-failed worker whose Twait is within a tick bound.  The server's live
+// view materializes a worker's state lazily and only when it changed, and
+// answers the search in O(log W) from a min-tree over per-worker lower
+// bounds on free-at time, so ELSA's Step A/B visit only candidates instead
+// of all W workers per arrival.  VectorWorkerView wraps a plain snapshot
+// vector (tests, and the naive engine in tests/oracle/, the golden baseline
+// that hands every consultation a freshly built vector); it inherits the
+// default search, a plain scan of exact waits.
 #pragma once
 
 #include <cassert>
@@ -82,13 +86,23 @@ class WorkerView {
   // set in O(log W).
   virtual int MaxGpcsIdleWorker() const { return kIdleScanUnsupported; }
 
-  // Twait of worker i alone (== Get(i).wait_ticks).  The one
-  // time-dependent field; a live view can answer it without
-  // re-materializing the whole snapshot, which is what ELSA's inner scan
-  // is bound by at large W.  Time dependence is tracked by a view-global
-  // epoch the engine advances once per distinct simulated instant, so a
-  // burst of same-timestamp consultations shares one refresh per worker.
-  virtual SimTime WaitTicks(std::size_t i) const { return Get(i).wait_ticks; }
+  // The leftmost position p in [begin, end) whose worker is not failed and
+  // whose *lower-bound* wait is <= `bound` ticks, or `end` when there is
+  // none.  Contract: no non-failed worker in [begin, p) has
+  // Get().wait_ticks <= bound, and p is never a failed worker.  The answer
+  // is a candidate, not a verdict -- a view may answer from a lower bound
+  // on Twait, so the caller re-checks the exact wait (and resumes at p + 1
+  // on a miss).  The default scans the exact waits; the server's live view
+  // answers in O(log W) from its free-at index, whose bound is exact
+  // unless an in-flight query overran its estimate.
+  virtual std::size_t FirstWaitAtMost(std::size_t begin, std::size_t end,
+                                      SimTime bound) const {
+    for (std::size_t i = begin; i < end; ++i) {
+      const WorkerState& w = Get(i);
+      if (!w.failed && w.wait_ticks <= bound) return i;
+    }
+    return end;
+  }
 
   // True for a long-lived, server-owned view whose Get() positions are
   // stable within one layout and whose layout_version() uniquely

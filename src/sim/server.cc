@@ -55,12 +55,33 @@ const sched::WorkerState& InferenceServer::LiveWorkerView::Get(
   return slot.state;
 }
 
-SimTime InferenceServer::LiveWorkerView::WaitTicks(std::size_t i) const {
-  assert(i < server_.workers_.size());
-  // Uncached on purpose: schedulers consult each worker's wait at most
-  // once per arrival (ELSA memoizes on its side), and the direct
-  // computation is cheaper than snapshot-cache maintenance.
-  return server_.workers_[i].EstimatedWait(server_.now_);
+std::size_t InferenceServer::LiveWorkerView::FirstWaitAtMost(
+    std::size_t begin, std::size_t end, SimTime bound) const {
+  // Live waits are never negative, so a negative bound has no candidate
+  // (this also keeps idle workers keyed in the past out of the answer).
+  if (bound < 0) return end;
+  const SimTime now = server_.now_;
+  // key - now <= bound, saturating below kNever so failed workers never
+  // qualify.
+  SimTime key_bound = FreeAtIndex::kNever - 1;
+  if (bound < key_bound - now) key_bound = now + bound;
+  return free_at_.LeftmostAtMost(begin, end, key_bound);
+}
+
+void InferenceServer::LiveWorkerView::SyncKey(std::size_t i, SimTime now) {
+  const SimTime key = server_.workers_[i].FreeAtBound(now);
+  synced_at_[i] = now;
+  if (free_at_.key(i) != key) free_at_.Set(i, key);
+}
+
+bool InferenceServer::LiveWorkerView::KeysConsistent() const {
+  if (free_at_.size() != server_.workers_.size()) return false;
+  for (std::size_t i = 0; i < free_at_.size(); ++i) {
+    const PartitionWorker& w = server_.workers_[i];
+    if (free_at_.key(i) != w.FreeAtBound(synced_at_[i])) return false;
+    if (w.failed() && free_at_.key(i) != FreeAtIndex::kNever) return false;
+  }
+  return true;
 }
 
 int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
@@ -71,8 +92,11 @@ int InferenceServer::LiveWorkerView::MaxGpcsIdleWorker() const {
   return idle.begin()->second;
 }
 
-void InferenceServer::LiveWorkerView::OnLayoutChange(std::size_t num_workers) {
+void InferenceServer::LiveWorkerView::OnLayoutChange(std::size_t num_workers,
+                                                     SimTime now) {
   slots_.assign(num_workers, Slot{});  // keeps capacity across layouts
+  free_at_.Assign(num_workers, now);   // all idle: FreeAtBound(now) == now
+  synced_at_.assign(num_workers, now);
   version_ = NextLayoutVersion();
 }
 
@@ -147,18 +171,25 @@ void InferenceServer::BuildWorkers(const std::vector<int>& partition_gpcs) {
   // A fresh layout starts all-idle.
   idle_workers_.clear();
   for (const auto& w : workers_) idle_workers_.emplace(-w.gpcs(), w.index());
+  idle_filed_.assign(workers_.size(), 1);
   done_seq_.assign(workers_.size(), 0);
   num_failed_ = 0;
-  view_.OnLayoutChange(workers_.size());
+  view_.OnLayoutChange(workers_.size(), now_);
 }
 
-void InferenceServer::SyncIdle(const PartitionWorker& worker) {
-  const std::pair<int, int> key{-worker.gpcs(), worker.index()};
-  if (worker.idle()) {
-    idle_workers_.insert(key);
-  } else {
-    idle_workers_.erase(key);
+void InferenceServer::SyncWorker(const PartitionWorker& worker) {
+  const auto i = static_cast<std::size_t>(worker.index());
+  const bool idle = worker.idle();
+  if (idle != (idle_filed_[i] != 0)) {
+    const std::pair<int, int> key{-worker.gpcs(), worker.index()};
+    if (idle) {
+      idle_workers_.insert(key);
+    } else {
+      idle_workers_.erase(key);
+    }
+    idle_filed_[i] = idle ? 1 : 0;
   }
+  view_.SyncKey(i, now_);
 }
 
 void InferenceServer::PushWithSeq(SimTime time, std::uint64_t seq,
@@ -223,6 +254,7 @@ std::vector<sched::WorkerState> InferenceServer::Snapshots(
 
 int InferenceServer::ConsultScheduler(const workload::Query& query,
                                       bool orphan) {
+  assert(view_.KeysConsistent());
   return orphan ? scheduler_.RequeueOrphan(query, view_)
                 : scheduler_.OnQueryArrival(query, view_);
 }
@@ -239,7 +271,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
       QueryRecord& rec = records_[dropped.id];
       rec.shed = true;
       rec.finished = now;
-      SyncIdle(worker);
+      SyncWorker(worker);
     }
   }
   if (!worker.CanStart()) return;
@@ -251,6 +283,7 @@ void InferenceServer::StartHead(PartitionWorker& worker, SimTime now) {
                     worker.resident_model() != head.model_id;
   if (swap) actual += config_.model_swap_cost;
   const workload::Query q = worker.Start(now, actual);
+  SyncWorker(worker);
   QueryRecord& rec = records_[q.id];
   rec.started = now;
   rec.worker = worker.index();
@@ -295,7 +328,7 @@ void InferenceServer::Dispatch(const workload::Query& query, SimTime now) {
   records_[query.id].dispatched = now;
   worker.Enqueue(query,
                  EstimateTicks(query.model_id, worker.gpcs(), query.batch));
-  SyncIdle(worker);
+  SyncWorker(worker);
   StartHead(worker, now);
 }
 
@@ -318,7 +351,7 @@ void InferenceServer::ReofferCentralQueue(SimTime now) {
     records_[head.id].dispatched = now;
     worker.Enqueue(head,
                    EstimateTicks(head.model_id, worker.gpcs(), head.batch));
-    SyncIdle(worker);
+    SyncWorker(worker);
     StartHead(worker, now);
   }
 }
@@ -455,7 +488,7 @@ void InferenceServer::CompleteReconfigure(SimTime now) {
     PartitionWorker& worker = workers_[static_cast<std::size_t>(idx)];
     records_[q.id].dispatched = now;
     worker.Enqueue(q, EstimateTicks(q.model_id, worker.gpcs(), q.batch));
-    SyncIdle(worker);
+    SyncWorker(worker);
     StartHead(worker, now);
   }
   ReofferCentralQueue(now);
@@ -492,7 +525,7 @@ void InferenceServer::ProcessEvent(const Event& ev) {
       PartitionWorker& worker = workers_[ev.payload];
       const workload::Query done = worker.Finish();
       records_[done.id].finished = now;
-      SyncIdle(worker);  // may have gone idle (empty local queue)
+      SyncWorker(worker);  // may have gone idle (empty local queue)
       if (reconfiguring_) break;  // draining: nothing new starts
       // Start next local query, then pull from the central queue for as
       // long as the worker stays unoccupied -- deadline sheds can burn
@@ -506,7 +539,7 @@ void InferenceServer::ProcessEvent(const Event& ev) {
         records_[next.id].dispatched = now;
         worker.Enqueue(next,
                        EstimateTicks(next.model_id, worker.gpcs(), next.batch));
-        SyncIdle(worker);
+        SyncWorker(worker);
         StartHead(worker, now);
       }
       break;
@@ -582,7 +615,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
   std::vector<workload::Query> orphans = worker.TakeQueue();
   worker.SetFailed(true);
   ++num_failed_;
-  SyncIdle(worker);
+  SyncWorker(worker);
   if (requeue_orphans) {
     for (const workload::Query& q : orphans) {
       QueryRecord& rec = records_[q.id];
@@ -606,7 +639,7 @@ std::vector<workload::Query> InferenceServer::FailWorker(int index,
       assert(!target.failed());
       records_[q.id].dispatched = now_;
       target.Enqueue(q, EstimateTicks(q.model_id, target.gpcs(), q.batch));
-      SyncIdle(target);
+      SyncWorker(target);
       StartHead(target, now_);
     }
   } else {
@@ -628,7 +661,7 @@ void InferenceServer::RecoverWorker(int index) {
   if (!worker.failed()) return;
   worker.SetFailed(false);
   --num_failed_;
-  SyncIdle(worker);
+  SyncWorker(worker);
   if (reconfiguring_) return;  // held work re-dispatches at window close
   if (scheduler_.UsesCentralQueue()) {
     ReofferCentralQueue(now_);

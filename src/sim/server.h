@@ -26,6 +26,10 @@
 //    busy, when time moved), instead of an O(W) snapshot-vector rebuild
 //    per consultation -- draining a long central queue after a
 //    reconfiguration is no longer O(Q*W);
+//  * the live view also keeps a free-at index (sim/free_at_index.h): a
+//    min-tree of per-worker lower bounds on free-at time, updated in
+//    O(log W) at every worker mutation, so ELSA's per-arrival search is
+//    O(log W) per size class instead of a scan of all W workers;
 //  * injected arrivals are (typically) already time-sorted, so they live
 //    in a flat cursor merged on the fly with the pending-event calendar;
 //    a million-query trace never sits in the priority structure at all;
@@ -73,6 +77,7 @@
 #include "profile/profile_table.h"
 #include "sched/scheduler.h"
 #include "sim/event_calendar.h"
+#include "sim/free_at_index.h"
 #include "sim/metrics.h"
 #include "sim/server_config.h"
 #include "sim/worker.h"
@@ -204,6 +209,15 @@ class InferenceServer {
   // timestamp, each busy worker's wait ticks refresh at most once for
   // it.  layout_version() is process-unique per BuildWorkers so schedulers
   // can cache per-layout derived state against it.
+  //
+  // Positions are worker indices, (gpcs, index)-ascending, so each size
+  // class is a contiguous position range.  The view keeps a free-at index
+  // over them: per worker, PartitionWorker::FreeAtBound taken when the
+  // worker last mutated (SyncWorker), so key - now <= EstimatedWait(now)
+  // always holds, with equality unless an in-flight query overran its
+  // estimate; failed workers hold kNever.  FirstWaitAtMost answers from it
+  // in O(log W).  Keys are absolute times, so moving the clock updates
+  // nothing.
   class LiveWorkerView final : public sched::WorkerView {
    public:
     explicit LiveWorkerView(const InferenceServer& server)
@@ -211,17 +225,26 @@ class InferenceServer {
 
     std::size_t size() const override;
     const sched::WorkerState& Get(std::size_t i) const override;
-    SimTime WaitTicks(std::size_t i) const override;
+    std::size_t FirstWaitAtMost(std::size_t begin, std::size_t end,
+                                SimTime bound) const override;
     // Answered from the server's incrementally maintained idle set
     // (O(log W) per worker mutation, O(1) here); see idle_workers_.
     int MaxGpcsIdleWorker() const override;
     bool stable() const override { return true; }
     std::uint64_t layout_version() const override { return version_; }
 
-    void OnLayoutChange(std::size_t num_workers);
+    // A fresh all-idle layout of `num_workers`, every free-at key `now`.
+    void OnLayoutChange(std::size_t num_workers, SimTime now);
     // One call per distinct simulated instant: invalidates every busy
     // worker's cached wait ticks in O(1) by moving the shared epoch.
     void BeginInstant() { ++time_epoch_; }
+    // Re-keys worker i at `now` (O(log W); free when the key held).
+    void SyncKey(std::size_t i, SimTime now);
+    // Every stored key equals FreeAtBound at its sync time, and every
+    // failed worker holds kNever.  O(W); asserted per consultation in
+    // assert-enabled builds, so a mutation site that skipped SyncWorker
+    // fails loudly instead of silently changing a decision.
+    bool KeysConsistent() const;
 
    private:
     struct Slot {
@@ -234,6 +257,8 @@ class InferenceServer {
     std::uint64_t version_ = 0;
     std::uint64_t time_epoch_ = 0;
     mutable std::vector<Slot> slots_;
+    FreeAtIndex free_at_;
+    std::vector<SimTime> synced_at_;  // per worker: its key's sync time
   };
 
   void Reset();
@@ -265,9 +290,11 @@ class InferenceServer {
   // hook's old/new layout arguments).
   std::vector<sched::WorkerState> Snapshots(SimTime now) const;
   void BuildWorkers(const std::vector<int>& partition_gpcs);
-  // Re-files `worker` in idle_workers_ after a mutation that may have
-  // changed its idleness (Enqueue or Finish).
-  void SyncIdle(const PartitionWorker& worker);
+  // Re-files `worker` in idle_workers_ and re-keys it in the view's
+  // free-at index.  Called after every worker mutation: Enqueue, Start,
+  // Finish, Abort, PopHead, SetFailed and TakeQueue (BuildWorkers
+  // re-files a whole fresh layout).
+  void SyncWorker(const PartitionWorker& worker);
   // Starts the worker's head query if the worker is free, recording start
   // metadata (including any model-swap charge) and scheduling the
   // completion event.
@@ -300,8 +327,10 @@ class InferenceServer {
   // Idle index backing LiveWorkerView::MaxGpcsIdleWorker():
   // {-gpcs, index} per idle worker, so begin() is the largest partition
   // with the lowest index -- exactly FIFS's scan winner.  Maintained by
-  // SyncIdle at every Enqueue/Finish site and rebuilt by BuildWorkers.
+  // SyncWorker (which skips the set when idleness did not flip, tracked
+  // in idle_filed_) and rebuilt by BuildWorkers.
   std::set<std::pair<int, int>> idle_workers_;
+  std::vector<char> idle_filed_;
   // Unassigned queries.  For central-queue schedulers this is the ordinary
   // central FIFO; during a reconfiguration window it additionally holds
   // every arrival (any scheduler) until the new layout is up.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace pe::sim {
 
@@ -90,6 +91,12 @@ SimTime PartitionWorker::EstimatedWait(SimTime now) const {
     wait += std::max<SimTime>(0, current_estimated_ - elapsed);
   }
   return wait;
+}
+
+SimTime PartitionWorker::FreeAtBound(SimTime now) const {
+  if (failed_) return std::numeric_limits<SimTime>::max();
+  if (busy()) return queued_estimated_ + current_started_ + current_estimated_;
+  return queued_estimated_ + now;
 }
 
 sched::WorkerState PartitionWorker::Snapshot(SimTime now) const {

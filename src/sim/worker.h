@@ -93,6 +93,16 @@ class PartitionWorker {
   // plus the estimated remainder of the in-flight one.
   SimTime EstimatedWait(SimTime now) const;
 
+  // A lower bound on the absolute instant this worker drains its
+  // estimated work, taken at `now`: while the worker is unchanged,
+  // EstimatedWait(t) >= FreeAtBound(now) - t for every t >= now.  Busy:
+  // queued estimates + the in-flight query's estimated end (exact until
+  // the query overruns its estimate); not busy: queued estimates + now
+  // (exact at `now`).  A failed worker never drains: INT64_MAX, the
+  // kNever of the server's free-at index (sim/free_at_index.h), which is
+  // keyed on this.
+  SimTime FreeAtBound(SimTime now) const;
+
   // Snapshot for the scheduler.
   sched::WorkerState Snapshot(SimTime now) const;
 

@@ -1,12 +1,14 @@
 // Golden determinism suite for the event engine: the production engine
-// (compiled profile lookups, incremental scheduler view, sorted arrival
-// cursor, bucketed calendar) and ELSA (memoized, size-class-skipping,
-// cached-order scan) must produce QueryRecord streams bit-identical to the
-// independently written oracle in tests/oracle/ -- one binary heap, fresh
-// snapshot vectors, uncompiled lookups, full-scan Algorithm 2 -- for every
-// covered scenario: FIFS and ELSA, single-model and mixed traffic, static
-// runs, live and superseded reconfigurations, the frontend stage, the
-// elastic driver, and ELSA decisions on random snapshot vectors.
+// (compiled profile lookups, incremental scheduler view with its free-at
+// index, sorted arrival cursor, bucketed calendar) and ELSA (per-class
+// thresholds and branch-and-bound over the view's FirstWaitAtMost) must
+// produce QueryRecord streams bit-identical to the independently written
+// oracle in tests/oracle/ -- one binary heap, fresh snapshot vectors,
+// uncompiled lookups, full-scan Algorithm 2 -- for every covered
+// scenario: FIFS and ELSA, single-model and mixed traffic, static runs,
+// live and superseded reconfigurations, the frontend stage, the elastic
+// driver, a wide PARIS-style server, ELSA decisions on random snapshot
+// vectors, and (through a shadow scheduler) faults on a wide server.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,8 +36,9 @@ namespace {
 
 // Distinct per-model cost surfaces; the actual latency deliberately
 // diverges from the profile so estimate/actual paths stay distinguishable.
-profile::ProfileTable MakeTable(const std::string& name, double scale) {
-  profile::ProfileTable t(name, {1, 2, 3, 7}, {1, 2, 4, 8, 16, 32});
+profile::ProfileTable MakeTable(const std::string& name, double scale,
+                                const std::vector<int>& sizes) {
+  profile::ProfileTable t(name, sizes, {1, 2, 4, 8, 16, 32});
   for (int g : t.partition_sizes()) {
     for (int b : t.batch_sizes()) {
       profile::ProfileEntry e;
@@ -47,7 +50,8 @@ profile::ProfileTable MakeTable(const std::string& name, double scale) {
   return t;
 }
 
-profile::ModelRepertoire MakeRepertoire(int num_models) {
+profile::ModelRepertoire MakeRepertoire(int num_models,
+                                        const std::vector<int>& sizes) {
   profile::ModelRepertoire rep;
   for (int m = 0; m < num_models; ++m) {
     const double scale = 1.0 + 0.6 * m;
@@ -55,7 +59,7 @@ profile::ModelRepertoire MakeRepertoire(int num_models) {
     // false-positives on operator+(const char*, string&&) in Release.
     std::string name = "m";
     name += std::to_string(m);
-    rep.Register(std::move(name), MakeTable("m", scale),
+    rep.Register(std::move(name), MakeTable("m", scale, sizes),
                  [scale](int gpcs, int batch) {
                    return scale * 1.07e-3 * (0.5 + 0.4 * batch) /
                           static_cast<double>(gpcs);
@@ -64,10 +68,15 @@ profile::ModelRepertoire MakeRepertoire(int num_models) {
   return rep;
 }
 
+profile::ModelRepertoire MakeRepertoire(int num_models) {
+  return MakeRepertoire(num_models, {1, 2, 3, 7});
+}
+
 workload::QueryTrace MakeTraceFor(const profile::ModelRepertoire& rep,
-                                  std::size_t n, std::uint64_t seed) {
+                                  std::size_t n, std::uint64_t seed,
+                                  double rate_qps = 900.0) {
   Rng rng(seed);
-  workload::PoissonArrivals arrivals(/*rate_qps=*/900.0);
+  workload::PoissonArrivals arrivals(rate_qps);
   workload::LogNormalBatchDist d0(6.0, 0.9, 32);
   workload::LogNormalBatchDist d1(4.0, 0.7, 32);
   workload::LogNormalBatchDist d2(9.0, 0.8, 32);
@@ -665,30 +674,70 @@ TEST(EngineGolden, ElasticDriverMatchesReference) {
 }
 
 // A stable view over a snapshot vector: lets the production ELSA cache its
-// candidate order and take its size-class skips, as it does on the
-// engine's live view, while the test controls every field.
+// candidate order, as it does on the engine's live view, while the test
+// controls every field.  FirstWaitAtMost is answered by brute force from a
+// per-position lower bound `wait_ticks - slop[i]` -- loose like the live
+// view's free-at key of an in-flight query that overran its estimate -- so
+// candidates that fail ELSA's exact re-check are exercised.  Over a
+// (gpcs, index)-sorted vector, ELSA searches through this override; over
+// shuffled positions it re-indexes by rank and scans.
 class StableVectorView final : public sched::WorkerView {
  public:
   StableVectorView(const std::vector<sched::WorkerState>& states,
-                   std::uint64_t version)
-      : states_(states), version_(version) {}
+                   const std::vector<SimTime>& slop, std::uint64_t version)
+      : states_(states), slop_(slop), version_(version) {}
   std::size_t size() const override { return states_.size(); }
   const sched::WorkerState& Get(std::size_t i) const override {
     return states_[i];
+  }
+  std::size_t FirstWaitAtMost(std::size_t begin, std::size_t end,
+                              SimTime bound) const override {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!states_[i].failed && states_[i].wait_ticks - slop_[i] <= bound) {
+        return i;
+      }
+    }
+    return end;
   }
   bool stable() const override { return true; }
   std::uint64_t layout_version() const override { return version_; }
 
  private:
   const std::vector<sched::WorkerState>& states_;
+  const std::vector<SimTime>& slop_;
   std::uint64_t version_;
 };
 
+// The last wait at which `w`'s size class still has positive swap-free
+// slack for `q`, or -1 when not even a zero wait has.
+SimTime SlackBoundary(const sched::ElsaScheduler& elsa, sched::WorkerState w,
+                      const workload::Query& q) {
+  w.resident_model = -1;
+  const auto positive = [&](SimTime wait) {
+    w.wait_ticks = wait;
+    return elsa.SlackSec(w, q.model_id, q.batch) > 0.0;
+  };
+  if (!positive(0)) return -1;
+  SimTime lo = 0;               // positive
+  SimTime hi = MsToTicks(1e6);  // not positive
+  while (hi - lo > 1) {
+    const SimTime mid = lo + (hi - lo) / 2;
+    if (positive(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 // Decision-level golden: ELSA against the full-scan oracle on random
-// snapshot vectors -- failed workers, resident models, positions shuffled
-// away from worker indices, swap and locality knobs on, alpha/beta != 1 --
-// through both an ad-hoc vector view and a stable view (order cache and
-// size-class skips engaged).
+// snapshot vectors -- up to 160 workers, failed workers, resident models,
+// swap and locality knobs on, alpha/beta != 1 -- through an ad-hoc vector
+// view and a stable view over shuffled positions (rank re-indexing,
+// default scan), and through a stable view over sorted positions whose
+// FirstWaitAtMost answers from loose lower bounds (the index-driven
+// control flow of the engine's live view).
 TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
   const auto rep = MakeRepertoire(3);
   Rng rng(0xE15A);
@@ -697,6 +746,7 @@ TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
   std::size_t step_b = 0;
   std::size_t declined = 0;
   std::size_t locality_wins = 0;
+  std::size_t wide = 0;
   for (std::uint64_t trial = 1; trial <= 400; ++trial) {
     sched::ElsaParams params;
     params.alpha = rng.Uniform(0.25, 2.0);
@@ -706,14 +756,17 @@ TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
     const SimTime sla = MsToTicks(rng.Uniform(1.0, 25.0));
     sched::ElsaScheduler adhoc(rep, sla, params);
     sched::ElsaScheduler cached(rep, sla, params);
+    sched::ElsaScheduler indexed(rep, sla, params);
     oracle::NaiveElsa naive(rep, sla, Knobs(params));
     oracle::ElsaKnobs no_tie = Knobs(params);
     no_tie.locality_tie_sec = 0.0;
     oracle::NaiveElsa plain(rep, sla, no_tie);
 
     // One layout per trial: worker indices are size-ascending, positions
-    // are shuffled.
-    const auto workers = static_cast<std::size_t>(rng.UniformInt(1, 24));
+    // are shuffled.  Every other trial is wide (up to 160 workers).
+    const std::int64_t cap = trial % 2 == 0 ? 160 : 24;
+    const auto workers = static_cast<std::size_t>(rng.UniformInt(1, cap));
+    wide += workers > 64 ? 1 : 0;
     std::vector<int> layout;
     for (std::size_t i = 0; i < workers; ++i) {
       layout.push_back(sizes[rng.UniformInt(0, 3)]);
@@ -729,26 +782,46 @@ TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
                 states[static_cast<std::size_t>(
                     rng.UniformInt(0, static_cast<std::int64_t>(i) - 1))]);
     }
+    const std::vector<SimTime> no_slop(workers, 0);
 
     for (int call = 0; call < 25; ++call) {
+      workload::Query q;
+      q.id = static_cast<std::uint64_t>(call);
+      q.model_id = static_cast<int>(rng.UniformInt(0, 2));
+      q.batch = static_cast<int>(rng.UniformInt(1, 32));
       for (auto& w : states) {
         w.failed = rng.NextDouble() < 0.15;
         w.resident_model = static_cast<int>(rng.UniformInt(-1, 2));
         w.queue_length = static_cast<std::size_t>(rng.UniformInt(0, 3));
         w.wait_ticks =
             rng.NextDouble() < 0.25 ? 0 : MsToTicks(rng.Uniform(0.0, 20.0));
+        // A fifth of the waits sit on their class's Step A boundary or one
+        // tick past it, so off-by-one-tick thresholds and bounds show.
+        if (rng.NextDouble() < 0.2) {
+          const SimTime edge = SlackBoundary(adhoc, w, q);
+          if (edge >= 0) w.wait_ticks = edge + rng.UniformInt(0, 1);
+        }
         w.idle = !w.failed && w.wait_ticks == 0 && w.queue_length == 0;
       }
-      workload::Query q;
-      q.id = static_cast<std::uint64_t>(call);
-      q.model_id = static_cast<int>(rng.UniformInt(0, 2));
-      q.batch = static_cast<int>(rng.UniformInt(1, 32));
+      // The live view's presentation: positions in (gpcs, index) order,
+      // lower bounds loose by up to 5 ms on a third of the workers.
+      std::vector<sched::WorkerState> by_rank(workers);
+      for (const auto& w : states) {
+        by_rank[static_cast<std::size_t>(w.index)] = w;
+      }
+      std::vector<SimTime> slop(workers, 0);
+      for (SimTime& s : slop) {
+        if (rng.NextDouble() < 0.33) s = MsToTicks(rng.Uniform(0.0, 5.0));
+      }
       const int expected = naive.OnQueryArrival(q, states);
       EXPECT_EQ(adhoc.OnQueryArrival(q, states), expected)
           << "trial " << trial << " call " << call << " (vector view)";
-      EXPECT_EQ(cached.OnQueryArrival(q, StableVectorView(states, trial)),
-                expected)
+      const StableVectorView shuffled_view(states, no_slop, trial);
+      const StableVectorView indexed_view(by_rank, slop, trial);
+      EXPECT_EQ(cached.OnQueryArrival(q, shuffled_view), expected)
           << "trial " << trial << " call " << call << " (stable view)";
+      EXPECT_EQ(indexed.OnQueryArrival(q, indexed_view), expected)
+          << "trial " << trial << " call " << call << " (indexed view)";
       if (::testing::Test::HasFailure()) return;
       if (expected == sched::kNoAssignment) {
         ++declined;
@@ -767,11 +840,166 @@ TEST(EngineGolden, ElsaDecisionsMatchFullScanOnRandomSnapshots) {
       if (plain.OnQueryArrival(q, states) != expected) ++locality_wins;
     }
   }
-  // Non-vacuous: every branch of Algorithm 2 was exercised.
+  // Non-vacuous: every branch of Algorithm 2 was exercised, on wide
+  // layouts too.
   EXPECT_GT(step_a, 1000u);
   EXPECT_GT(step_b, 1000u);
   EXPECT_GT(declined, 0u);
   EXPECT_GT(locality_wins, 100u);
+  EXPECT_GT(wide, 100u);
+}
+
+// A PARIS-style wide layout: `n` partitions cycling the sizes
+// {1, 2, 3, 4, 7} from `shift`, sorted as the server sorts them.
+std::vector<int> WideLayout(int n, int shift) {
+  const int cycle[] = {1, 2, 3, 4, 7};
+  std::vector<int> layout;
+  for (int i = 0; i < n; ++i) layout.push_back(cycle[(i + shift) % 5]);
+  return layout;
+}
+
+const std::vector<int>& WideSizes() {
+  static const std::vector<int> kSizes = {1, 2, 3, 4, 7};
+  return kSizes;
+}
+
+// Offered load: `factor` x the layout's aggregate service rate at batch 8,
+// averaged over the repertoire's models.
+double RateFor(const profile::ModelRepertoire& rep,
+               const std::vector<int>& layout, double factor) {
+  double capacity = 0.0;
+  for (const int gpcs : layout) {
+    for (int m = 0; m < rep.size(); ++m) {
+      capacity += rep.profile(m).ThroughputQps(gpcs, 8) / rep.size();
+    }
+  }
+  return factor * capacity;
+}
+
+sched::ElsaParams WideParams() {
+  sched::ElsaParams params;
+  params.swap_cost_sec = 250e-6;
+  params.locality_tie_sec = 0.002;
+  return params;
+}
+
+// The engine on a wide server, where ELSA decides from the live view's
+// free-at index: 130 partitions over {1, 2, 3, 4, 7}, noisy latencies
+// whose ground truth also runs 7% over the profile (so in-flight queries
+// overrun their estimates and the index keys are loose lower bounds),
+// offered above the knee so Step B decides most arrivals, with the swap
+// charge and locality tie-break on and one mid-run reconfiguration to
+// another wide layout.
+TEST(EngineGolden, WideParisLayoutMatchesReference) {
+  const auto rep = MakeRepertoire(3, WideSizes());
+  ServerConfig config;
+  config.partition_gpcs = WideLayout(130, 0);
+  config.sla_target = MsToTicks(8.0);
+  config.latency_noise_sigma = 0.25;
+  config.seed = 0x51DE;
+  config.model_swap_cost = UsToTicks(250.0);
+  const sched::ElsaParams params = WideParams();
+  const double rate = RateFor(rep, config.partition_gpcs, 1.6);
+  const auto trace = MakeTraceFor(rep, 8000, /*seed=*/0x51DE, rate);
+  const auto streams =
+      RunBoth(config, rep, Sched::kElsa, params, [&](auto& server) {
+        server.InjectTrace(trace);
+        server.AdvanceTo(trace.queries()[trace.size() / 2].arrival);
+        server.BeginReconfigure(WideLayout(128, 2), MsToTicks(5.0));
+        return server.Finish();
+      });
+  ExpectIdenticalRecords(streams, "wide");
+  // Non-vacuous: both steps decided, Step B most arrivals, and the
+  // reconfiguration stalled queries.
+  const sched::ElsaScheduler probe(rep, config.sla_target, params);
+  std::size_t step_b = 0;
+  for (const Consultation& c : streams.production_log) {
+    const workload::Query& q = trace.queries()[c.query];
+    const auto& w = *std::find_if(
+        c.states.begin(), c.states.end(),
+        [&c](const auto& s) { return s.index == c.choice; });
+    step_b += probe.SlackSec(w, q.model_id, q.batch) > 0.0 ? 0 : 1;
+  }
+  EXPECT_GT(step_b, streams.production_log.size() / 2);
+  EXPECT_LT(step_b, streams.production_log.size());
+  EXPECT_GT(CountStalled(streams.production), 0u);
+}
+
+// Runs the production ELSA on the engine's live view and, at every
+// consultation, the full-scan oracle ELSA on a vector rebuilt from Get(i);
+// any disagreement fails the test.  The oracle engine has no fault API,
+// so this is how decisions under FailWorker, RecoverWorker and
+// SetSlowdownFactor are pinned.
+class ShadowElsa final : public sched::Scheduler {
+ public:
+  ShadowElsa(const profile::ModelRepertoire& rep, SimTime sla,
+             const sched::ElsaParams& params)
+      : elsa_(rep, sla, params), naive_(rep, sla, Knobs(params)) {}
+
+  using Scheduler::OnQueryArrival;
+  int OnQueryArrival(const workload::Query& query,
+                     const sched::WorkerView& workers) override {
+    states_.clear();
+    bool any_failed = false;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      states_.push_back(workers.Get(i));
+      any_failed = any_failed || states_.back().failed;
+    }
+    const int choice = elsa_.OnQueryArrival(query, workers);
+    EXPECT_EQ(choice, naive_.OnQueryArrival(query, states_))
+        << "query " << query.id;
+    ++consultations;
+    with_failures += any_failed ? 1 : 0;
+    return choice;
+  }
+  bool UsesCentralQueue() const override { return false; }
+  std::string name() const override { return "ELSA (shadowed)"; }
+
+  std::size_t consultations = 0;
+  std::size_t with_failures = 0;
+
+ private:
+  sched::ElsaScheduler elsa_;
+  oracle::NaiveElsa naive_;
+  std::vector<sched::WorkerState> states_;
+};
+
+TEST(EngineGolden, ShadowElsaAgreesThroughFaultsOnWideServer) {
+  const auto rep = MakeRepertoire(3, WideSizes());
+  ServerConfig config;
+  config.partition_gpcs = WideLayout(141, 0);
+  config.sla_target = MsToTicks(8.0);
+  config.latency_noise_sigma = 0.25;
+  config.seed = 0x5AD0;
+  config.model_swap_cost = UsToTicks(250.0);
+  ShadowElsa shadow(rep, config.sla_target, WideParams());
+  InferenceServer server(config, rep, shadow);
+  const double rate = RateFor(rep, config.partition_gpcs, 1.2);
+  const auto trace = MakeTraceFor(rep, 8000, /*seed=*/0x5AD0, rate);
+  const auto at = [&trace](double frac) {
+    const double n = static_cast<double>(trace.size());
+    return trace.queries()[static_cast<std::size_t>(frac * n)].arrival;
+  };
+  server.InjectTrace(trace);
+  server.AdvanceTo(at(0.2));
+  for (const int w : {5, 60, 61, 62, 139}) server.FailWorker(w);
+  server.FailWorker(140, /*requeue_orphans=*/false);
+  server.AdvanceTo(at(0.4));
+  server.SetSlowdownFactor(1.6);
+  server.AdvanceTo(at(0.6));
+  server.RecoverWorker(5);
+  server.RecoverWorker(61);
+  server.FailWorker(100);
+  server.AdvanceTo(at(0.8));
+  server.SetSlowdownFactor(1.0);
+  for (const int w : {60, 62, 100, 139, 140}) server.RecoverWorker(w);
+  const auto result = server.Finish();
+  EXPECT_EQ(server.num_failed_workers(), 0);
+  EXPECT_GE(shadow.consultations, trace.size());
+  EXPECT_GT(shadow.with_failures, trace.size() / 4);
+  std::size_t failed = 0;
+  for (const QueryRecord& r : result.records) failed += r.failed ? 1 : 0;
+  EXPECT_GT(failed, 0u);
 }
 
 }  // namespace
