@@ -11,11 +11,9 @@ int main() {
                      "ResNet, PARIS partitioning, fixed offered load = 90% "
                      "of PARIS+ELSA(1,1) capacity");
 
-  core::TestbedConfig config;
-  config.model_name = "resnet";
-  const core::Testbed tb(config);
+  const core::MixTestbed tb(core::PaperConfig("resnet"));
   const double sla_ms = TicksToMs(tb.sla_target());
-  const auto plan = tb.PlanParis();
+  const auto plan = tb.PlanMixed().plan;
   auto search = bench::DefaultSearch();
 
   const auto nominal = core::LatencyBoundedThroughput(
@@ -25,9 +23,7 @@ int main() {
             << Table::Num(nominal.qps, 0) << " qps; probing at "
             << Table::Num(rate, 0) << " qps\n\n";
 
-  core::RunOptions opt;
-  opt.rate_qps = rate;
-  opt.num_queries = bench::Queries(8000);
+  const std::size_t num_queries = bench::Queries(8000);
 
   core::Json points = core::Json::Array();
   auto add_point = [&points](const std::string& scheduler, double alpha,
@@ -47,9 +43,8 @@ int main() {
       sched::ElsaParams params;
       params.alpha = alpha;
       params.beta = beta;
-      auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa, params);
-      const auto stats =
-          tb.Run(plan, *scheduler, opt).Stats(tb.sla_target());
+      const auto stats = bench::RunStats(tb, plan, core::SchedulerKind::kElsa,
+                                         rate, num_queries, params);
       t.AddRow({"ELSA", Table::Num(alpha, 1), Table::Num(beta, 1),
                 Table::Num(stats.p95_latency_ms, 2),
                 Table::Num(100 * stats.sla_violation_rate, 2),
@@ -59,7 +54,7 @@ int main() {
   }
   for (auto kind : {core::SchedulerKind::kGreedyFastest,
                     core::SchedulerKind::kJsq, core::SchedulerKind::kFifs}) {
-    const auto stats = tb.RunStats(plan, kind, opt);
+    const auto stats = bench::RunStats(tb, plan, kind, rate, num_queries);
     t.AddRow({ToString(kind), "-", "-",
               Table::Num(stats.p95_latency_ms, 2),
               Table::Num(100 * stats.sla_violation_rate, 2),
@@ -72,7 +67,7 @@ int main() {
                "heterogeneity entirely.\n";
 
   core::Json data = core::Json::Object();
-  data.Set("model", config.model_name);
+  data.Set("model", "resnet");
   data.Set("sla_ms", sla_ms);
   data.Set("offered_qps", rate);
   data.Set("points", std::move(points));

@@ -6,8 +6,6 @@
 // it scales.
 #include "bench/bench_util.h"
 
-#include "partition/homogeneous.h"
-
 int main() {
   using namespace pe;
   bench::PrintHeader("Ablation: frontend bottleneck (Section V)",
@@ -21,19 +19,17 @@ int main() {
   for (bool constrained : {false, true}) {
     double qps24 = 0.0;
     for (int gpcs : {24, 48}) {
-      core::TestbedConfig config;
-      config.model_name = "mobilenet";
+      // Table I's model on an 8-GPU cluster, with the budget under test.
+      core::MixConfig config = core::PaperConfig("mobilenet");
+      config.num_gpus = 8;
+      config.gpc_budget = gpcs;
       if (constrained) {
         config.frontend.enabled = true;
         config.frontend.lanes = 1;
         config.frontend.cost_per_query = UsToTicks(400.0);
       }
-      core::Testbed tb(config);
-      // Override the Table-I budget via a directly planned homogeneous
-      // layout on an 8-GPU cluster.
-      partition::HomogeneousPartitioner p(1);
-      hw::Cluster cluster(8);
-      const auto plan = p.Plan(cluster, gpcs);
+      const core::MixTestbed tb(config);
+      const auto plan = tb.PlanHomogeneous(1);
       // GPU(1) servers cannot meet the strict SLA for the largest batches
       // even unloaded; this ablation is about *throughput scaling*, so use
       // a relaxed 3x tail bound.

@@ -5,8 +5,8 @@
 //   * static-initial: PARIS planned once on the first phase's PDF
 //     (what a statically provisioned paper deployment would run all day),
 //   * static-oracle:  PARIS planned on the full-day mixture PDF,
-//   * elastic:        TrafficEstimator + RepartitionController re-running
-//                     PARIS at epoch boundaries.
+//   * elastic:        TrafficEstimator + MixedRepartitionController (one
+//                     model) re-running PARIS at epoch boundaries.
 //
 // All three run as ONE continuous InferenceServer simulation; for the
 // elastic policy each re-partitioning is a live reconfiguration event
@@ -20,8 +20,7 @@
 #include "bench/bench_util.h"
 
 #include "online/elastic_server.h"
-#include "perf/model_zoo.h"
-#include "profile/profiler.h"
+#include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "workload/scenario.h"
 
@@ -31,15 +30,10 @@ int main() {
                      "ResNet, drifting log-normal workload; ELSA scheduling "
                      "throughout; reconfigurations simulated live");
 
-  profile::Profiler profiler;
-  const auto model = perf::BuildResNet50();
-  const auto profile =
-      profiler.Profile(model, profile::ProfilerConfig::Default(64));
-  perf::RooflineEngine engine;
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  sim::LatencyFn actual = [engine, model](int g, int b) {
-    return engine.LatencySec(model, g, b);
-  };
+  // The one-model repertoire: ResNet's profile and ground truth.
+  const auto repertoire = profile::BuildZooRepertoire({"resnet"});
+  const SimTime sla =
+      SecToTicks(1.5 * repertoire.profile(0).LatencySec(7, 32));
 
   // Day cycle: small -> large -> small, 6000 queries per phase at 350 qps.
   const std::uint64_t trace_seed = 11;
@@ -66,12 +60,16 @@ int main() {
   auto run_policy = [&](const workload::BatchDistribution& plan_dist,
                         online::ElasticConfig config,
                         const std::string& label) {
-    online::RepartitionController controller(profile, hw::Cluster(8), 48,
-                                             plan_dist, {}, config);
+    workload::MixSpec mix;
+    mix.components.push_back({0, 1.0, &plan_dist});
+    online::MixedRepartitionController controller(
+        repertoire, hw::Cluster(8), 48, mix, {}, config);
     online::ElasticServerSim sim(
-        controller, profile,
-        [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-        actual, sla, queries_per_epoch, server_seed);
+        controller, repertoire,
+        [&] {
+          return std::make_unique<sched::ElsaScheduler>(repertoire, sla);
+        },
+        sla, queries_per_epoch, server_seed);
     return std::pair<std::string, online::ElasticResult>(label,
                                                          sim.Run(trace));
   };

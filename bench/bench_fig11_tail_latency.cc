@@ -15,9 +15,7 @@ int main() {
   core::Json models = core::Json::Array();
 
   for (const std::string& model : bench::PaperModels()) {
-    core::TestbedConfig config;
-    config.model_name = model;
-    const core::Testbed tb(config);
+    const core::MixTestbed tb(core::PaperConfig(model));
     const double sla_ms = TicksToMs(tb.sla_target());
 
     const auto gpu_max = core::BestHomogeneous(
@@ -38,9 +36,9 @@ int main() {
                        core::SchedulerKind::kFifs});
     }
     cases.push_back(
-        {"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs});
+        {"PARIS+FIFS", tb.PlanMixed().plan, core::SchedulerKind::kFifs});
     cases.push_back(
-        {"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa});
+        {"PARIS+ELSA", tb.PlanMixed().plan, core::SchedulerKind::kElsa});
 
     std::cout << "--- " << model << " (SLA " << Table::Num(sla_ms, 1)
               << " ms) ---\n";

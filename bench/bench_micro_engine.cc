@@ -5,7 +5,7 @@
 // (`elsa_ns_per_decision`).
 #include <benchmark/benchmark.h>
 
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 #include "hw/cluster.h"
 #include "partition/paris.h"
 #include "perf/model_zoo.h"
@@ -59,19 +59,18 @@ void BM_ClusterPack(benchmark::State& state) {
 BENCHMARK(BM_ClusterPack);
 
 void BM_EndToEndSimulatedQueries(benchmark::State& state) {
-  core::TestbedConfig config;
-  config.model_name = "resnet";
-  const core::Testbed tb(config);
-  const auto plan = tb.PlanParis();
-  core::RunOptions opt;
-  opt.rate_qps = 500.0;
-  opt.num_queries = 2000;
+  const core::MixTestbed tb(core::PaperConfig("resnet"));
+  const auto plan = tb.PlanMixed().plan;
+  const std::size_t num_queries = 2000;
   for (auto _ : state) {
+    // Trace generation is part of the timed run, as it always was.
     auto scheduler = tb.MakeScheduler(core::SchedulerKind::kElsa);
-    benchmark::DoNotOptimize(tb.Run(plan, *scheduler, opt));
+    benchmark::DoNotOptimize(
+        tb.Run(plan.instance_gpcs, *scheduler,
+               tb.GenerateMix(500.0, num_queries, /*seed=*/1), /*seed=*/1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(opt.num_queries));
+                          static_cast<std::int64_t>(num_queries));
 }
 BENCHMARK(BM_EndToEndSimulatedQueries);
 

@@ -13,7 +13,7 @@
 #include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/result_io.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 
 namespace pe::bench {
 
@@ -32,7 +32,7 @@ struct Design {
 
 // The paper's six evaluated design families (Section VI) minus GPU(max),
 // which callers derive via core::BestHomogeneous.
-inline std::vector<Design> PaperDesigns(const core::Testbed& tb,
+inline std::vector<Design> PaperDesigns(const core::MixTestbed& tb,
                                         bool include_gpu4 = false) {
   std::vector<Design> designs;
   for (int size : {7, 3, 2, 1}) {
@@ -49,10 +49,25 @@ inline std::vector<Design> PaperDesigns(const core::Testbed& tb,
   designs.push_back(
       {"Random+ELSA", tb.PlanRandom(), core::SchedulerKind::kElsa});
   designs.push_back(
-      {"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs});
+      {"PARIS+FIFS", tb.PlanMixed().plan, core::SchedulerKind::kFifs});
   designs.push_back(
-      {"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa});
+      {"PARIS+ELSA", tb.PlanMixed().plan, core::SchedulerKind::kElsa});
   return designs;
+}
+
+// One simulation of `plan` under a fresh `kind` scheduler: a trace at
+// `rate_qps` whose seed also drives the server's streams, with stats at
+// the testbed's SLA target.
+inline sim::ServerStats RunStats(const core::MixTestbed& tb,
+                                 const partition::PartitionPlan& plan,
+                                 core::SchedulerKind kind, double rate_qps,
+                                 std::size_t num_queries,
+                                 sched::ElsaParams elsa = {},
+                                 std::uint64_t seed = 1) {
+  auto scheduler = tb.MakeScheduler(kind, elsa);
+  const auto trace = tb.GenerateMix(rate_qps, num_queries, seed);
+  const auto result = tb.Run(plan.instance_gpcs, *scheduler, trace, seed);
+  return result.Stats(tb.sla_target());
 }
 
 // PE_BENCH_SMOKE=1 in the environment shrinks the search work so every

@@ -11,7 +11,7 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 #include "partition/paris.h"
 
 int main(int argc, char** argv) {
@@ -19,16 +19,15 @@ int main(int argc, char** argv) {
   const std::string model = argc > 1 ? argv[1] : "bert";
   const double target_qps = argc > 2 ? std::atof(argv[2]) : 400.0;
 
-  core::TestbedConfig config;
-  config.model_name = model;
-  const core::Testbed tb(config);
+  const core::MixTestbed tb(core::PaperConfig(model));
   const double sla_ms = TicksToMs(tb.sla_target());
 
   std::cout << "Planning " << model << " capacity for "
             << Table::Num(target_qps, 0) << " qps at SLA "
             << Table::Num(sla_ms, 1) << " ms (p95)\n\n";
 
-  partition::ParisPartitioner paris(tb.profile(), tb.dist(),
+  partition::ParisPartitioner paris(tb.repertoire().profile(0),
+                                    *tb.mix().components[0].dist,
                                     tb.config().paris);
   core::SearchOptions search;
   search.num_queries = 4000;

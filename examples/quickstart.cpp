@@ -1,7 +1,8 @@
 // quickstart: the smallest end-to-end use of the library.
 //
 // Builds a ResNet inference testbed with the paper's default workload
-// (Poisson arrivals, log-normal batch sizes, max batch 32), partitions the
+// (Poisson arrivals, log-normal batch sizes, max batch 32) on its Table I
+// server (a one-model MixTestbed from core::PaperConfig), partitions the
 // 8xA100 cluster with PARIS, schedules with ELSA, and prints the serving
 // statistics next to the best homogeneous baseline (GPU(7) + FIFS).
 //
@@ -12,23 +13,22 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 
 int main(int argc, char** argv) {
   using namespace pe;
 
-  core::TestbedConfig config;
-  config.model_name = argc > 1 ? argv[1] : "resnet";
-  core::Testbed tb(config);
+  const std::string model = argc > 1 ? argv[1] : "resnet";
+  const core::MixTestbed tb(core::PaperConfig(model));
 
   const double rate_qps = argc > 2 ? std::atof(argv[2]) : 0.0;
 
-  std::cout << "Model: " << config.model_name << "  |  SLA target: "
+  std::cout << "Model: " << model << "  |  SLA target: "
             << TicksToMs(tb.sla_target()) << " ms  |  cluster: "
-            << tb.table1().num_gpus << "x A100 ("
-            << tb.table1().gpc_budget << " GPCs for PARIS)\n\n";
+            << tb.config().num_gpus << "x A100 ("
+            << tb.config().gpc_budget << " GPCs for PARIS)\n\n";
 
-  const auto paris = tb.PlanParis();
+  const auto paris = tb.PlanMixed().plan;
   const auto gpu7 = tb.PlanHomogeneous(7);
   std::cout << "PARIS plan:  " << paris.Summary() << "\n";
   std::cout << "Baseline:    " << gpu7.Summary() << "\n\n";
@@ -44,9 +44,8 @@ int main(int argc, char** argv) {
               << " qps (85% of GPU(7)+FIFS capacity)\n\n";
   }
 
-  core::RunOptions run;
-  run.rate_qps = rate;
-  run.num_queries = 20000;
+  // One trace for every design (seed 1 drives the trace and the server).
+  const auto trace = tb.GenerateMix(rate, 20000, /*seed=*/1);
 
   Table table({"design", "p95 (ms)", "mean (ms)", "SLA viol. %",
                "achieved qps", "GPU util %"});
@@ -61,7 +60,9 @@ int main(int argc, char** argv) {
       {"PARIS+ELSA", &paris, core::SchedulerKind::kElsa},
   };
   for (const auto& c : cases) {
-    const auto stats = tb.RunStats(*c.plan, c.kind, run);
+    auto scheduler = tb.MakeScheduler(c.kind);
+    const auto result = tb.Run(c.plan->instance_gpcs, *scheduler, trace, 1);
+    const auto stats = result.Stats(tb.sla_target());
     table.AddRow({c.label, Table::Num(stats.p95_latency_ms, 2),
                   Table::Num(stats.mean_latency_ms, 2),
                   Table::Num(100 * stats.sla_violation_rate, 2),

@@ -12,30 +12,33 @@
 
 #include "common/table.h"
 #include "core/experiment.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 
 int main(int argc, char** argv) {
   using namespace pe;
-  core::TestbedConfig config;
-  config.model_name = argc > 1 ? argv[1] : "resnet";
-  const core::Testbed tb(config);
-  const auto plan = tb.PlanParis();
+  const std::string model = argc > 1 ? argv[1] : "resnet";
+  const core::MixTestbed tb(core::PaperConfig(model));
+  const auto plan = tb.PlanMixed().plan;
   const double sla_ms = TicksToMs(tb.sla_target());
+  // A fresh `kind` scheduler replaying `num_queries` at `rate_qps`.
+  const auto run = [&](core::SchedulerKind kind, double rate_qps,
+                       std::size_t num_queries) {
+    auto scheduler = tb.MakeScheduler(kind);
+    return tb.Run(plan.instance_gpcs, *scheduler,
+                  tb.GenerateMix(rate_qps, num_queries, /*seed=*/1),
+                  /*seed=*/1);
+  };
 
-  std::cout << "Model " << config.model_name << ", server "
+  std::cout << "Model " << model << ", server "
             << plan.Summary() << ", SLA " << Table::Num(sla_ms, 1)
             << " ms\n\n";
 
   // Where do batches land?  Per-scheduler histogram of batch -> partition.
-  core::RunOptions opt;
-  opt.num_queries = 12000;
   const auto capacity = core::LatencyBoundedThroughput(
       tb, plan, core::SchedulerKind::kElsa, sla_ms);
-  opt.rate_qps = 0.8 * capacity.qps;
 
   for (auto kind : {core::SchedulerKind::kFifs, core::SchedulerKind::kElsa}) {
-    auto scheduler = tb.MakeScheduler(kind);
-    const auto result = tb.Run(plan, *scheduler, opt);
+    const auto result = run(kind, 0.8 * capacity.qps, 12000);
     // batch bucket -> (gpcs -> count)
     std::map<int, std::map<int, int>> routing;
     for (const auto& r : result.records) {
@@ -69,12 +72,12 @@ int main(int argc, char** argv) {
   Table sweep({"offered qps", "FIFS p95", "ELSA p95", "FIFS viol %",
                "ELSA viol %"});
   for (double f : {0.4, 0.6, 0.8, 0.9, 1.0}) {
-    core::RunOptions ro;
-    ro.rate_qps = f * capacity.qps;
-    ro.num_queries = 8000;
-    const auto fifs = tb.RunStats(plan, core::SchedulerKind::kFifs, ro);
-    const auto elsa = tb.RunStats(plan, core::SchedulerKind::kElsa, ro);
-    sweep.AddRow({Table::Num(ro.rate_qps, 0),
+    const double rate_qps = f * capacity.qps;
+    const auto fifs_run = run(core::SchedulerKind::kFifs, rate_qps, 8000);
+    const auto elsa_run = run(core::SchedulerKind::kElsa, rate_qps, 8000);
+    const auto fifs = fifs_run.Stats(tb.sla_target());
+    const auto elsa = elsa_run.Stats(tb.sla_target());
+    sweep.AddRow({Table::Num(rate_qps, 0),
                   Table::Num(fifs.p95_latency_ms, 2),
                   Table::Num(elsa.p95_latency_ms, 2),
                   Table::Num(100 * fifs.sla_violation_rate, 2),

@@ -9,34 +9,39 @@
 namespace pe::core {
 namespace {
 
-double ProbeP95(const Testbed& testbed, const partition::PartitionPlan& plan,
-                SchedulerKind kind, double rate_qps,
-                const SearchOptions& options, sched::ElsaParams elsa) {
+// One simulation of `plan` under `kind` at `rate_qps`, with a fresh
+// scheduler and the options' trace length and seed.
+sim::ServerStats Probe(const MixTestbed& testbed,
+                       const partition::PartitionPlan& plan,
+                       SchedulerKind kind, double rate_qps,
+                       const SearchOptions& options,
+                       sched::ElsaParams elsa = sched::ElsaParams{}) {
   auto scheduler = testbed.MakeScheduler(kind, elsa);
-  RunOptions run;
-  run.rate_qps = rate_qps;
-  run.num_queries = options.num_queries;
-  run.seed = options.seed;
-  const auto stats =
-      testbed.Run(plan, *scheduler, run).Stats(testbed.sla_target());
-  return stats.p95_latency_ms;
+  const workload::QueryTrace trace =
+      testbed.GenerateMix(rate_qps, options.num_queries, options.seed);
+  const sim::SimResult result =
+      testbed.Run(plan.instance_gpcs, *scheduler, trace, options.seed);
+  return result.Stats(testbed.sla_target());
 }
 
 }  // namespace
 
-ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
+ThroughputResult LatencyBoundedThroughput(const MixTestbed& testbed,
                                           const partition::PartitionPlan& plan,
                                           SchedulerKind kind,
                                           double tail_bound_ms,
                                           const SearchOptions& options,
                                           sched::ElsaParams elsa) {
   assert(tail_bound_ms > 0.0);
+  const auto p95_at = [&](double rate_qps) {
+    return Probe(testbed, plan, kind, rate_qps, options, elsa).p95_latency_ms;
+  };
   // Bracket: grow the offered rate geometrically until the bound breaks.
   double lo = 0.0;
   double hi = options.initial_rate_qps;
   double p95_lo = 0.0;
   for (;;) {
-    const double p95 = ProbeP95(testbed, plan, kind, hi, options, elsa);
+    const double p95 = p95_at(hi);
     if (p95 > tail_bound_ms) break;
     lo = hi;
     p95_lo = p95;
@@ -50,7 +55,7 @@ ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
     // The initial rate already violates the bound: search down instead.
     hi = options.initial_rate_qps;
     lo = hi / 1024.0;
-    const double p95 = ProbeP95(testbed, plan, kind, lo, options, elsa);
+    const double p95 = p95_at(lo);
     if (p95 > tail_bound_ms) {
       // Unachievable even at negligible load.
       return ThroughputResult{0.0, p95};
@@ -60,7 +65,7 @@ ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
   // Bisect [lo, hi].
   for (int i = 0; i < options.iterations; ++i) {
     const double mid = 0.5 * (lo + hi);
-    const double p95 = ProbeP95(testbed, plan, kind, mid, options, elsa);
+    const double p95 = p95_at(mid);
     if (p95 > tail_bound_ms) {
       hi = mid;
     } else {
@@ -72,7 +77,7 @@ ThroughputResult LatencyBoundedThroughput(const Testbed& testbed,
 }
 
 std::vector<RatePoint> TailLatencyCurve(
-    const Testbed& testbed, const partition::PartitionPlan& plan,
+    const MixTestbed& testbed, const partition::PartitionPlan& plan,
     SchedulerKind kind, const std::vector<double>& load_fractions,
     double tail_bound_ms, const SearchOptions& options) {
   const ThroughputResult bound =
@@ -82,13 +87,7 @@ std::vector<RatePoint> TailLatencyCurve(
   return ParallelMap(
       load_fractions.size(), options.jobs, [&](std::size_t i) {
         const double rate = std::max(1e-3, load_fractions[i] * bound.qps);
-        auto scheduler = testbed.MakeScheduler(kind);
-        RunOptions run;
-        run.rate_qps = rate;
-        run.num_queries = options.num_queries;
-        run.seed = options.seed;
-        const auto stats =
-            testbed.Run(plan, *scheduler, run).Stats(testbed.sla_target());
+        const auto stats = Probe(testbed, plan, kind, rate, options);
         RatePoint p;
         p.offered_qps = rate;
         p.achieved_qps = stats.achieved_qps;
@@ -100,8 +99,8 @@ std::vector<RatePoint> TailLatencyCurve(
       });
 }
 
-HomogeneousChoice BestHomogeneous(const Testbed& testbed, SchedulerKind kind,
-                                  double tail_bound_ms,
+HomogeneousChoice BestHomogeneous(const MixTestbed& testbed,
+                                  SchedulerKind kind, double tail_bound_ms,
                                   const SearchOptions& options) {
   static constexpr int kSizes[] = {1, 2, 3, 7};
   const auto results = ParallelMap(
@@ -123,7 +122,7 @@ HomogeneousChoice BestHomogeneous(const Testbed& testbed, SchedulerKind kind,
 }
 
 std::vector<ThroughputResult> LatencyBoundedThroughputBatch(
-    const Testbed& testbed, const std::vector<ProbeSpec>& specs,
+    const MixTestbed& testbed, const std::vector<ProbeSpec>& specs,
     double tail_bound_ms, const SearchOptions& options) {
   return ParallelMap(specs.size(), options.jobs, [&](std::size_t i) {
     return LatencyBoundedThroughput(testbed, specs[i].plan, specs[i].kind,

@@ -7,8 +7,6 @@
 
 #include "online/failover_controller.h"
 #include "partition/mix.h"
-#include "sched/baselines.h"
-#include "sched/fifs.h"
 
 namespace pe::core {
 
@@ -34,6 +32,11 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
     : config_(std::move(config)), mix_(config_.mix) {
   if (config_.num_servers < 1) {
     throw std::invalid_argument("FleetTestbed: num_servers must be >= 1");
+  }
+  if (config_.mix.frontend.enabled) {
+    // fleet::Cluster builds its servers without a frontend stage; refuse
+    // rather than silently simulate a different server than configured.
+    throw std::invalid_argument("FleetTestbed: frontend is not supported");
   }
 
   fleet::PlacementMap placement =
@@ -62,30 +65,13 @@ FleetTestbed::FleetTestbed(FleetTestbedConfig config)
   // threads during Simulate); the per-server repertoire argument is owned
   // by the cluster and outlives the scheduler.
   const SchedulerKind kind = config_.scheduler;
-  sched::ElsaParams elsa = config_.elsa;
-  if (elsa.swap_cost_sec == 0.0) {
-    // Keep the slack predictor honest by default: fold the simulator's
-    // swap penalty into ELSA's Twait unless the caller tuned it already.
-    elsa.swap_cost_sec = config_.mix.swap_cost_us * 1e-6;
-  }
+  const sched::ElsaParams elsa = config_.elsa;
+  const double swap_cost_us = config_.mix.swap_cost_us;
   const SimTime sla = mix_.sla_target();
   fleet::SchedulerFactory factory =
-      [kind, elsa, sla](int /*server_id*/,
-                        const profile::ModelRepertoire& repertoire)
-      -> std::unique_ptr<sched::Scheduler> {
-    switch (kind) {
-      case SchedulerKind::kFifs:
-        return std::make_unique<sched::FifsScheduler>();
-      case SchedulerKind::kElsa:
-        return std::make_unique<sched::ElsaScheduler>(repertoire, sla, elsa);
-      case SchedulerKind::kJsq:
-        return std::make_unique<sched::JsqScheduler>();
-      case SchedulerKind::kGreedyFastest:
-        return std::make_unique<sched::GreedyFastestScheduler>(
-            repertoire.profile(0));
-    }
-    throw std::invalid_argument("FleetTestbed: unknown scheduler kind");
-  };
+      [=](int /*server_id*/, const profile::ModelRepertoire& repertoire) {
+        return MakeScheduler(kind, repertoire, sla, swap_cost_us, elsa);
+      };
 
   cluster_ = std::make_unique<fleet::Cluster>(fc, std::move(placement),
                                               mix_.repertoire(),

@@ -10,7 +10,10 @@
 //   * the fleet::Cluster wiring per-server repertoires, RNG streams, and
 //     a scheduler factory for the configured SchedulerKind.
 //
-// Typical use (mirrors Testbed/MixTestbed):
+// Fleet servers have no frontend stage, so a config with
+// mix.frontend.enabled is rejected rather than silently ignored.
+//
+// Typical use:
 //   core::FleetTestbed ft(core::FleetTestbedConfig{...});
 //   auto trace = ft.GenerateFleetTrace(2000.0, 1'000'000, /*seed=*/1);
 //   auto stats = ft.Run(trace, /*jobs=*/8).Stats(ft.sla_target());
@@ -20,7 +23,6 @@
 #include <memory>
 
 #include "core/mix_runner.h"
-#include "core/server_builder.h"
 #include "fleet/cluster.h"
 #include "fleet/failover.h"
 #include "fleet/fault.h"

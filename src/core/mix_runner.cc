@@ -4,12 +4,58 @@
 #include <stdexcept>
 
 #include "core/paper_config.h"
+#include "partition/homogeneous.h"
+#include "partition/random_partition.h"
 #include "sched/baselines.h"
-#include "sched/elsa.h"
 #include "sched/fifs.h"
-#include "workload/arrival.h"
 
 namespace pe::core {
+
+const char* ToString(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::kFifs: return "FIFS";
+    case SchedulerKind::kElsa: return "ELSA";
+    case SchedulerKind::kJsq: return "JSQ";
+    case SchedulerKind::kGreedyFastest: return "GreedyFastest";
+  }
+  return "?";
+}
+
+std::unique_ptr<sched::Scheduler> MakeScheduler(
+    SchedulerKind kind, const profile::ModelRepertoire& repertoire,
+    SimTime sla_target, double swap_cost_us, sched::ElsaParams elsa) {
+  if (elsa.swap_cost_sec == 0.0) elsa.swap_cost_sec = swap_cost_us * 1e-6;
+  switch (kind) {
+    case SchedulerKind::kFifs:
+      return std::make_unique<sched::FifsScheduler>();
+    case SchedulerKind::kElsa:
+      return std::make_unique<sched::ElsaScheduler>(repertoire, sla_target,
+                                                    elsa);
+    case SchedulerKind::kJsq:
+      return std::make_unique<sched::JsqScheduler>();
+    case SchedulerKind::kGreedyFastest:
+      return std::make_unique<sched::GreedyFastestScheduler>(
+          repertoire.profile(0));
+  }
+  throw std::invalid_argument("MakeScheduler: unknown scheduler kind");
+}
+
+workload::ScenarioSpec ScenarioFor(const MixConfig& config, double rate_qps) {
+  workload::ScenarioSpec spec;
+  spec.rate.base_qps = rate_qps;
+  spec.max_batch = config.max_batch;
+  for (std::size_t i = 0; i < config.models.size(); ++i) {
+    const auto& m = config.models[i];
+    workload::ComponentSpec c;
+    c.model_id = static_cast<int>(i);
+    c.model_name = m.model;
+    c.weight = m.share;
+    c.median = m.dist_median;
+    c.sigma = m.dist_sigma;
+    spec.components.push_back(std::move(c));
+  }
+  return spec;
+}
 
 MixTestbed::MixTestbed(MixConfig config)
     : config_(std::move(config)),
@@ -81,21 +127,21 @@ partition::MixedPlan MixTestbed::PlanMixed() const {
                                    config_.gpc_budget, config_.paris);
 }
 
+partition::PartitionPlan MixTestbed::PlanHomogeneous(
+    int partition_gpcs) const {
+  const int budget =
+      partition_gpcs == 7 ? cluster_.total_gpcs() : config_.gpc_budget;
+  partition::HomogeneousPartitioner p(partition_gpcs);
+  return p.Plan(cluster_, budget);
+}
+
+partition::PartitionPlan MixTestbed::PlanRandom(std::uint64_t seed) const {
+  partition::RandomPartitioner p(seed);
+  return p.Plan(cluster_, config_.gpc_budget);
+}
+
 workload::ScenarioSpec MixTestbed::ScenarioFor(double rate_qps) const {
-  workload::ScenarioSpec spec;
-  spec.rate.base_qps = rate_qps;
-  spec.max_batch = config_.max_batch;
-  for (std::size_t i = 0; i < config_.models.size(); ++i) {
-    const auto& m = config_.models[i];
-    workload::ComponentSpec c;
-    c.model_id = static_cast<int>(i);
-    c.model_name = m.model;
-    c.weight = m.share;
-    c.median = m.dist_median;
-    c.sigma = m.dist_sigma;
-    spec.components.push_back(std::move(c));
-  }
-  return spec;
+  return core::ScenarioFor(config_, rate_qps);
 }
 
 workload::QueryTrace MixTestbed::GenerateMix(double rate_qps,
@@ -107,25 +153,8 @@ workload::QueryTrace MixTestbed::GenerateMix(double rate_qps,
 
 std::unique_ptr<sched::Scheduler> MixTestbed::MakeScheduler(
     SchedulerKind kind, sched::ElsaParams elsa) const {
-  // Keep ELSA's slack predictor honest about this testbed's swap penalty
-  // unless the caller tuned the knob explicitly; a swap-free mix
-  // (swap_cost_us == 0) leaves the predictor untouched either way.
-  if (elsa.swap_cost_sec == 0.0) {
-    elsa.swap_cost_sec = config_.swap_cost_us * 1e-6;
-  }
-  switch (kind) {
-    case SchedulerKind::kFifs:
-      return std::make_unique<sched::FifsScheduler>();
-    case SchedulerKind::kElsa:
-      return std::make_unique<sched::ElsaScheduler>(repertoire_, sla_target_,
-                                                    elsa);
-    case SchedulerKind::kJsq:
-      return std::make_unique<sched::JsqScheduler>();
-    case SchedulerKind::kGreedyFastest:
-      return std::make_unique<sched::GreedyFastestScheduler>(
-          repertoire_.profile(0));
-  }
-  throw std::invalid_argument("MixTestbed::MakeScheduler: unknown kind");
+  return core::MakeScheduler(kind, repertoire_, sla_target_,
+                             config_.swap_cost_us, elsa);
 }
 
 sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,
@@ -139,8 +168,9 @@ sim::SimResult MixTestbed::Run(const std::vector<int>& partition_gpcs,
   sc.partition_gpcs = partition_gpcs;
   sc.sla_target = sla_target_;
   sc.latency_noise_sigma = config_.latency_noise_sigma;
-  sc.seed = seed ^ 0xA5A5A5A5ULL;  // matches Testbed::Run
+  sc.seed = seed ^ 0xA5A5A5A5ULL;
   sc.model_swap_cost = UsToTicks(config_.swap_cost_us);
+  sc.frontend = config_.frontend;
   sim::InferenceServer server(sc, repertoire_, scheduler);
   return server.Run(trace);
 }

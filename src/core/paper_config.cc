@@ -1,6 +1,7 @@
 #include "core/paper_config.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace pe::core {
 
@@ -20,6 +21,17 @@ const ModelServerConfig& Table1For(const std::string& model) {
     if (row.model == model) return row;
   }
   throw std::invalid_argument("Table1For: unknown model " + model);
+}
+
+MixConfig PaperConfig(const std::string& model) {
+  const ModelServerConfig& row = Table1For(model);
+  MixModelConfig m;
+  m.model = model;
+  MixConfig config;
+  config.models.push_back(std::move(m));
+  config.num_gpus = row.num_gpus;
+  config.gpc_budget = row.gpc_budget;
+  return config;
 }
 
 SimTime SlaTarget(const profile::ProfileTable& profile, int max_batch,

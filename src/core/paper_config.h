@@ -4,13 +4,15 @@
 // (larger) budget the GPU(7) homogeneous design uses, and the number of
 // physical A100s -- all copied from Table I.  Also the SLA rule: N x the
 // inference latency of the distribution's max batch on GPU(7), N = 1.5 by
-// default.
+// default.  PaperConfig turns a Table I row into the one-model testbed the
+// paper evaluates.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/sim_time.h"
+#include "core/mix_runner.h"
 #include "profile/profile_table.h"
 
 namespace pe::core {
@@ -27,6 +29,12 @@ const std::vector<ModelServerConfig>& PaperTable1();
 
 // Looks up a model's Table I row; throws std::invalid_argument if unknown.
 const ModelServerConfig& Table1For(const std::string& model);
+
+// A one-model MixTestbed config sized from `model`'s Table I row (GPUs and
+// GPC budget; GPU(7) spends the whole cluster, which is Table I's GPU(7)
+// column), paper defaults everywhere else.  Throws std::invalid_argument
+// if the model has no Table I row.
+MixConfig PaperConfig(const std::string& model);
 
 // SLA target (Section V): sla_n x latency(GPU(7), max profiled batch).
 SimTime SlaTarget(const profile::ProfileTable& profile, int max_batch,

@@ -1,8 +1,9 @@
 // Elastic serving simulation (extension).
 //
 // Replays a (possibly drifting) query trace as ONE continuous
-// InferenceServer run.  At each epoch boundary the RepartitionController
-// inspects the TrafficEstimator and may order a live reconfiguration,
+// InferenceServer run over a model repertoire (one entry for a single
+// paper model).  At each epoch boundary the RepartitionPolicy inspects
+// the TrafficEstimator and may order a live reconfiguration,
 // which the simulation core models as a first-class event
 // (InferenceServer::BeginReconfigure): in-flight queries drain on the old
 // layout, queued work is carried over to the new workers, and dispatch is
@@ -57,20 +58,11 @@ class ElasticServerSim {
   // `queries_per_epoch` defines the epoch boundary in query count (an
   // arrival-rate-independent proxy for the paper's "given period of
   // time").  `seed` seeds the single run's RNG stream (latency noise).
-  // `controller` is any RepartitionPolicy (single-model PMF drift or the
-  // mixed per-model-share controller).
-  ElasticServerSim(RepartitionPolicy& controller,
-                   const profile::ProfileTable& profile,
-                   SchedulerFactory scheduler_factory,
-                   sim::LatencyFn actual_latency, SimTime sla_target,
-                   std::size_t queries_per_epoch = 2000,
-                   std::uint64_t seed = kDefaultElasticSeed);
-
-  // Multi-model form: the continuous server serves `repertoire` and the
-  // trace may interleave models (per-model estimates and ground truth come
-  // from the repertoire; the estimator tracks the live mix).
-  // `model_swap_cost` is charged whenever a partition starts a query of a
-  // non-resident model, matching the mix CLI/bench semantics.
+  // The server serves `repertoire` and the trace may interleave models
+  // (per-model estimates and ground truth come from the repertoire; the
+  // estimator tracks the live mix).  `model_swap_cost` is charged whenever
+  // a partition starts a query of a non-resident model, matching the mix
+  // CLI/bench semantics.
   ElasticServerSim(RepartitionPolicy& controller,
                    const profile::ModelRepertoire& repertoire,
                    SchedulerFactory scheduler_factory, SimTime sla_target,
@@ -82,15 +74,12 @@ class ElasticServerSim {
 
  private:
   RepartitionPolicy& controller_;
-  // Exactly one of the two serving sources is set.
-  const profile::ProfileTable* profile_ = nullptr;
-  const profile::ModelRepertoire* repertoire_ = nullptr;
+  const profile::ModelRepertoire& repertoire_;
   SchedulerFactory scheduler_factory_;
-  sim::LatencyFn actual_latency_;  // single-model form only
   SimTime sla_target_;
   std::size_t queries_per_epoch_;
   std::uint64_t seed_;
-  SimTime model_swap_cost_ = 0;  // repertoire form only
+  SimTime model_swap_cost_;
 };
 
 }  // namespace pe::online

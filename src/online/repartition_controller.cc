@@ -23,49 +23,6 @@ std::vector<int> SortedSizes(std::vector<int> v) {
 
 }  // namespace
 
-RepartitionController::RepartitionController(
-    const profile::ProfileTable& profile, hw::Cluster cluster, int gpc_budget,
-    const workload::BatchDistribution& initial_dist,
-    partition::ParisConfig paris, ElasticConfig config)
-    : profile_(profile),
-      cluster_(std::move(cluster)),
-      gpc_budget_(gpc_budget),
-      paris_config_(paris),
-      config_(config),
-      plan_(PlanFor(initial_dist)),
-      plan_pmf_(initial_dist.PdfVector()) {}
-
-partition::PartitionPlan RepartitionController::PlanFor(
-    const workload::BatchDistribution& dist) {
-  partition::ParisPartitioner paris(profile_, dist, paris_config_);
-  return paris.Plan(cluster_, gpc_budget_);
-}
-
-double RepartitionController::DriftOf(
-    const TrafficEstimator& estimator) const {
-  return estimator.TotalVariation(plan_pmf_);
-}
-
-std::optional<partition::PartitionPlan> RepartitionController::MaybeRepartition(
-    const TrafficEstimator& estimator) {
-  if (estimator.count() < config_.min_observations) return std::nullopt;
-  if (DriftOf(estimator) < config_.drift_threshold) return std::nullopt;
-
-  const auto live = estimator.Snapshot();
-  partition::PartitionPlan candidate = PlanFor(live);
-
-  // Identical layouts need no reconfiguration -- but the committed PMF is
-  // refreshed so drift is measured against what the plan now represents.
-  const bool same_layout = SortedSizes(candidate.instance_gpcs) ==
-                           SortedSizes(plan_.instance_gpcs);
-  plan_pmf_ = estimator.Pmf();
-  if (same_layout) return std::nullopt;
-
-  plan_ = std::move(candidate);
-  ++reconfigurations_;
-  return plan_;
-}
-
 MixedRepartitionController::MixedRepartitionController(
     const profile::ModelRepertoire& repertoire, hw::Cluster cluster,
     int gpc_budget, const workload::MixSpec& initial_mix,

@@ -1,20 +1,20 @@
-// Epoch-based elastic re-partitioning controllers (extension).
+// Epoch-based elastic re-partitioning controller (extension).
 //
 // The paper derives one PARIS configuration offline.  In production the
-// workload drifts (time of day, service popularity); these controllers
-// close the loop: at every epoch boundary they compare the live traffic
-// from the TrafficEstimator against what the current plan was built for,
-// and if the drift exceeds a threshold they re-run PARIS and -- if the
-// resulting layout actually differs -- order a reconfiguration.  MIG
+// workload drifts (time of day, service popularity); the controller closes
+// the loop: at every epoch boundary it compares the live traffic from the
+// TrafficEstimator against what the current plan was built for, and if
+// the drift exceeds a threshold it re-runs PARIS and -- if the resulting
+// layout actually differs -- orders a reconfiguration.  MIG
 // reconfiguration is not free (instances must drain and be re-created),
 // which the elastic simulator charges as downtime.
 //
-//  * RepartitionController: single-model; drift is the total-variation
-//    distance between the live batch PMF and the committed plan's PMF.
-//  * MixedRepartitionController: multi-model; drift is the larger of the
-//    model-share drift (the *mix* moving) and any model's own batch-PMF
-//    drift, and re-planning re-derives per-model GPC budgets from the live
-//    shares (partition::PlanMixedParis).
+// MixedRepartitionController serves any number of models; a single paper
+// model is the one-model mix.  Drift is the larger of the model-share
+// drift (the *mix* moving) and any model's own batch-PMF drift (the total-
+// variation distance between its live batch PMF and the committed one),
+// and re-planning re-derives per-model GPC budgets from the live shares
+// (partition::PlanMixedParis; one model gets the whole budget).
 #pragma once
 
 #include <optional>
@@ -27,7 +27,6 @@
 #include "partition/paris.h"
 #include "partition/partitioner.h"
 #include "profile/model_repertoire.h"
-#include "profile/profile_table.h"
 #include "workload/trace.h"
 
 namespace pe::online {
@@ -42,7 +41,8 @@ struct ElasticConfig {
   SimTime reconfig_downtime = MsToTicks(2000.0);
 };
 
-// The epoch-boundary decision interface the elastic simulator drives.
+// The epoch-boundary decision interface the elastic simulator drives
+// (MixedRepartitionController, or a scripted policy in tests).
 class RepartitionPolicy {
  public:
   virtual ~RepartitionPolicy() = default;
@@ -56,45 +56,8 @@ class RepartitionPolicy {
       const TrafficEstimator& estimator) = 0;
 };
 
-class RepartitionController : public RepartitionPolicy {
- public:
-  // `profile` must outlive the controller.  `initial_dist` seeds the first
-  // plan (e.g. yesterday's traffic or a provisioning guess).
-  RepartitionController(const profile::ProfileTable& profile,
-                        hw::Cluster cluster, int gpc_budget,
-                        const workload::BatchDistribution& initial_dist,
-                        partition::ParisConfig paris = {},
-                        ElasticConfig config = {});
-
-  const partition::PartitionPlan& current_plan() const override {
-    return plan_;
-  }
-  const std::vector<double>& current_pmf() const { return plan_pmf_; }
-  int reconfigurations() const { return reconfigurations_; }
-  const ElasticConfig& config() const override { return config_; }
-
-  std::optional<partition::PartitionPlan> MaybeRepartition(
-      const TrafficEstimator& estimator) override;
-
-  // Drift of the live traffic vs the committed plan's PMF.
-  double DriftOf(const TrafficEstimator& estimator) const;
-
- private:
-  const profile::ProfileTable& profile_;
-  hw::Cluster cluster_;
-  int gpc_budget_;
-  partition::ParisConfig paris_config_;
-  ElasticConfig config_;
-  partition::PartitionPlan plan_;
-  std::vector<double> plan_pmf_;
-  int reconfigurations_ = 0;
-
-  partition::PartitionPlan PlanFor(const workload::BatchDistribution& dist);
-};
-
-// Multi-model controller: tracks the committed per-model shares and batch
-// PMFs; drift in either re-derives per-model budgets and re-packs the
-// union layout.
+// Tracks the committed per-model shares and batch PMFs; drift in either
+// re-derives per-model budgets and re-packs the union layout.
 class MixedRepartitionController : public RepartitionPolicy {
  public:
   // `repertoire` must outlive the controller.  `initial_mix` seeds the

@@ -2,15 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/paper_config.h"
+
 namespace pe::core {
 namespace {
 
-const Testbed& MobilenetTb() {
-  static const Testbed tb{[] {
-    TestbedConfig c;
-    c.model_name = "mobilenet";
-    return c;
-  }()};
+const MixTestbed& MobilenetTb() {
+  static const MixTestbed tb{PaperConfig("mobilenet")};
   return tb;
 }
 
@@ -58,7 +56,7 @@ TEST(LatencyBoundedThroughput, ParisElsaBeatsGpu7Fifs) {
   const auto base = LatencyBoundedThroughput(
       tb, tb.PlanHomogeneous(7), SchedulerKind::kFifs, sla_ms, FastSearch());
   const auto ours = LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, FastSearch());
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, FastSearch());
   EXPECT_GT(ours.qps, base.qps);
 }
 

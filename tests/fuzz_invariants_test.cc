@@ -12,7 +12,7 @@
 #include <map>
 
 #include "core/fleet_runner.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 #include "fleet/fault.h"
 #include "hw/mig.h"
 #include "perf/model_zoo.h"
@@ -30,12 +30,8 @@ struct FuzzCase {
 class FuzzInvariantsTest : public ::testing::TestWithParam<FuzzCase> {
  protected:
   // A single shared testbed (profiling is the expensive part).
-  static const core::Testbed& tb() {
-    static const core::Testbed instance{[] {
-      core::TestbedConfig c;
-      c.model_name = "resnet";
-      return c;
-    }()};
+  static const core::MixTestbed& tb() {
+    static const core::MixTestbed instance{core::PaperConfig("resnet")};
     return instance;
   }
 
@@ -51,16 +47,19 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
   const auto plan = RandomPlan(seed);
   auto scheduler = tb().MakeScheduler(kind);
 
-  core::RunOptions opt;
   // Loads from lightly loaded to overloaded.
-  opt.rate_qps = rng.Uniform(50.0, 3000.0);
-  opt.num_queries = 1500;
-  opt.seed = seed ^ 0xF00D;
-  const auto result = tb().Run(plan, *scheduler, opt);
+  const double rate_qps = rng.Uniform(50.0, 3000.0);
+  const std::size_t num_queries = 1500;
+  const std::uint64_t run_seed = seed ^ 0xF00D;
+  const auto trace = tb().GenerateMix(rate_qps, num_queries, run_seed);
+  const auto result = tb().Run(plan.instance_gpcs, *scheduler, trace, run_seed);
 
-  ASSERT_EQ(result.records.size(), opt.num_queries);
+  ASSERT_EQ(result.records.size(), num_queries);
 
-  // Per-query sanity.
+  // Per-query sanity, against ground truth rebuilt from the model zoo.
+  const perf::RooflineEngine engine(tb().config().gpu,
+                                    tb().config().roofline);
+  const perf::DnnModel model = perf::BuildModelByName("resnet");
   std::map<int, std::vector<std::pair<SimTime, SimTime>>> busy;
   for (const auto& r : result.records) {
     EXPECT_GE(r.dispatched, r.arrival) << "query " << r.id;
@@ -71,8 +70,7 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
     // Noise off: service time must match ground truth exactly (to tick
     // rounding).
     const SimTime expected = std::max<SimTime>(
-        1, SecToTicks(tb().engine().LatencySec(tb().model(), r.worker_gpcs,
-                                               r.batch)));
+        1, SecToTicks(engine.LatencySec(model, r.worker_gpcs, r.batch)));
     EXPECT_EQ(r.finished - r.started, expected) << "query " << r.id;
     busy[r.worker].emplace_back(r.started, r.finished);
   }
@@ -87,7 +85,8 @@ TEST_P(FuzzInvariantsTest, StructuralInvariantsHold) {
 
   // Bit-identical replay.
   auto scheduler2 = tb().MakeScheduler(kind);
-  const auto replay = tb().Run(plan, *scheduler2, opt);
+  const auto replay =
+      tb().Run(plan.instance_gpcs, *scheduler2, trace, run_seed);
   for (std::size_t i = 0; i < result.records.size(); ++i) {
     EXPECT_EQ(result.records[i].finished, replay.records[i].finished);
     EXPECT_EQ(result.records[i].worker, replay.records[i].worker);
@@ -202,18 +201,14 @@ TEST(FuzzFaultInvariants, RandomFaultSchedulesConserveEveryQuery) {
 // With noise on, estimates diverge from actuals; invariants must still
 // hold (the scheduler may be wrong, the simulator must not be).
 TEST(FuzzInvariantsNoise, NoiseDoesNotBreakConservation) {
-  core::TestbedConfig c;
-  c.model_name = "mobilenet";
+  core::MixConfig c = core::PaperConfig("mobilenet");
   c.latency_noise_sigma = 0.3;
-  const core::Testbed tb(c);
+  const core::MixTestbed tb(c);
   for (std::uint64_t seed : {7ull, 8ull, 9ull}) {
     const auto plan = tb.PlanRandom(seed);
     auto scheduler = tb.MakeScheduler(SchedulerKind::kElsa);
-    core::RunOptions opt;
-    opt.rate_qps = 800.0;
-    opt.num_queries = 2000;
-    opt.seed = seed;
-    const auto result = tb.Run(plan, *scheduler, opt);
+    const auto result = tb.Run(plan.instance_gpcs, *scheduler,
+                               tb.GenerateMix(800.0, 2000, seed), seed);
     std::map<int, std::vector<std::pair<SimTime, SimTime>>> busy;
     for (const auto& r : result.records) {
       EXPECT_GT(r.finished, r.started);

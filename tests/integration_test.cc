@@ -4,32 +4,45 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/server_builder.h"
+#include "core/paper_config.h"
 
 namespace pe {
 namespace {
 
-using core::RunOptions;
+using core::MixTestbed;
 using core::SchedulerKind;
-using core::Testbed;
-using core::TestbedConfig;
 
-Testbed MakeTb(const std::string& model) {
-  TestbedConfig c;
-  c.model_name = model;
-  return Testbed(c);
+// A paper model on its Table I server.
+MixTestbed MakeTb(const std::string& model) {
+  return MixTestbed(core::PaperConfig(model));
+}
+
+// Replays a fresh trace at `rate_qps` on `plan` (the seed drives both the
+// trace and the server's streams).
+sim::SimResult RunAt(const MixTestbed& tb,
+                     const partition::PartitionPlan& plan,
+                     sched::Scheduler& scheduler, double rate_qps,
+                     std::size_t num_queries, std::uint64_t seed = 1) {
+  return tb.Run(plan.instance_gpcs, scheduler,
+                tb.GenerateMix(rate_qps, num_queries, seed), seed);
+}
+
+sim::ServerStats StatsAt(const MixTestbed& tb,
+                         const partition::PartitionPlan& plan,
+                         SchedulerKind kind, double rate_qps,
+                         std::size_t num_queries, std::uint64_t seed = 1) {
+  auto scheduler = tb.MakeScheduler(kind);
+  const auto result = RunAt(tb, plan, *scheduler, rate_qps, num_queries, seed);
+  return result.Stats(tb.sla_target());
 }
 
 // Paper Figure 5 / 10: on a heterogeneous server under tight SLA, ELSA
 // yields fewer SLA violations than FIFS at the same load.
 TEST(Integration, ElsaReducesViolationsOnHeterogeneousServer) {
   const auto tb = MakeTb("resnet");
-  const auto plan = tb.PlanParis();
-  RunOptions opt;
-  opt.num_queries = 6000;
-  opt.rate_qps = 500.0;
-  const auto fifs = tb.RunStats(plan, SchedulerKind::kFifs, opt);
-  const auto elsa = tb.RunStats(plan, SchedulerKind::kElsa, opt);
+  const auto plan = tb.PlanMixed().plan;
+  const auto fifs = StatsAt(tb, plan, SchedulerKind::kFifs, 500.0, 6000);
+  const auto elsa = StatsAt(tb, plan, SchedulerKind::kElsa, 500.0, 6000);
   EXPECT_LT(elsa.sla_violation_rate, fifs.sla_violation_rate);
   EXPECT_LT(elsa.p95_latency_ms, fifs.p95_latency_ms);
 }
@@ -38,12 +51,9 @@ TEST(Integration, ElsaReducesViolationsOnHeterogeneousServer) {
 // utilization high; large batches still reach the large partitions.
 TEST(Integration, ElsaRoutesBatchesBySize) {
   const auto tb = MakeTb("resnet");
-  const auto plan = tb.PlanParis();
+  const auto plan = tb.PlanMixed().plan;
   auto sched = tb.MakeScheduler(SchedulerKind::kElsa);
-  RunOptions opt;
-  opt.num_queries = 4000;
-  opt.rate_qps = 300.0;
-  const auto result = tb.Run(plan, *sched, opt);
+  const auto result = RunAt(tb, plan, *sched, 300.0, 4000);
   double small_batch_sum = 0, small_count = 0;
   double large_batch_sum = 0, large_count = 0;
   for (const auto& r : result.records) {
@@ -73,7 +83,7 @@ TEST_P(Figure12ShapeTest, ParisElsaBeatsGpu7Fifs) {
   const auto base = core::LatencyBoundedThroughput(
       tb, tb.PlanHomogeneous(7), SchedulerKind::kFifs, sla_ms, so);
   const auto ours = core::LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, so);
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, so);
   EXPECT_GT(ours.qps, base.qps) << GetParam();
 }
 
@@ -99,7 +109,7 @@ TEST(Integration, ParisElsaBeatsAverageRandomElsa) {
                       .qps;
   }
   const auto paris = core::LatencyBoundedThroughput(
-      tb, tb.PlanParis(), SchedulerKind::kElsa, sla_ms, so);
+      tb, tb.PlanMixed().plan, SchedulerKind::kElsa, sla_ms, so);
   EXPECT_GT(paris.qps, random_sum / std::size(kSeeds));
 }
 
@@ -107,16 +117,12 @@ TEST(Integration, ParisElsaBeatsAverageRandomElsa) {
 // predictions are imperfect but the system still functions and ELSA still
 // beats FIFS.
 TEST(Integration, RobustToLatencyNoise) {
-  TestbedConfig c;
-  c.model_name = "resnet";
+  core::MixConfig c = core::PaperConfig("resnet");
   c.latency_noise_sigma = 0.1;
-  const Testbed tb(c);
-  const auto plan = tb.PlanParis();
-  RunOptions opt;
-  opt.num_queries = 5000;
-  opt.rate_qps = 500.0;
-  const auto fifs = tb.RunStats(plan, SchedulerKind::kFifs, opt);
-  const auto elsa = tb.RunStats(plan, SchedulerKind::kElsa, opt);
+  const MixTestbed tb(c);
+  const auto plan = tb.PlanMixed().plan;
+  const auto fifs = StatsAt(tb, plan, SchedulerKind::kFifs, 500.0, 5000);
+  const auto elsa = StatsAt(tb, plan, SchedulerKind::kElsa, 500.0, 5000);
   EXPECT_EQ(elsa.completed + fifs.completed > 0, true);
   EXPECT_LT(elsa.p95_latency_ms, fifs.p95_latency_ms);
 }
@@ -125,12 +131,10 @@ TEST(Integration, RobustToLatencyNoise) {
 // and per-GPC utilization approaches saturation on the loaded classes.
 TEST(Integration, OverloadStillCompletesAllQueries) {
   const auto tb = MakeTb("mobilenet");
-  const auto plan = tb.PlanParis();
+  const auto plan = tb.PlanMixed().plan;
   auto sched = tb.MakeScheduler(SchedulerKind::kElsa);
-  RunOptions opt;
-  opt.num_queries = 3000;
-  opt.rate_qps = 1e5;  // far beyond capacity
-  const auto result = tb.Run(plan, *sched, opt);
+  // Far beyond capacity.
+  const auto result = RunAt(tb, plan, *sched, 1e5, 3000);
   for (const auto& r : result.records) {
     EXPECT_GT(r.finished, 0);
   }
@@ -142,18 +146,15 @@ TEST(Integration, OverloadStillCompletesAllQueries) {
 // (Section V): with a constrained frontend, adding backend GPCs does not
 // increase goodput.
 TEST(Integration, FrontendBottleneckCapsThroughput) {
-  TestbedConfig c;
-  c.model_name = "mobilenet";
+  core::MixConfig c = core::PaperConfig("mobilenet");
   c.frontend.enabled = true;
   c.frontend.lanes = 4;
   c.frontend.cost_per_query = MsToTicks(1.0);  // cap: 4000 qps across lanes
-  const Testbed tb(c);
+  const MixTestbed tb(c);
   const auto plan = tb.PlanHomogeneous(1);
   auto sched = tb.MakeScheduler(SchedulerKind::kFifs);
-  RunOptions opt;
-  opt.num_queries = 4000;
-  opt.rate_qps = 1e4;  // above the frontend cap
-  const auto result = tb.Run(plan, *sched, opt);
+  // Above the frontend cap.
+  const auto result = RunAt(tb, plan, *sched, 1e4, 4000);
   const auto stats = result.Stats(tb.sla_target(), 0.0);
   EXPECT_LE(stats.achieved_qps, 4200.0);
 }
@@ -162,14 +163,9 @@ TEST(Integration, FrontendBottleneckCapsThroughput) {
 // constructed testbeds (determinism is a stated design requirement).
 TEST(Integration, FullPipelineBitReproducible) {
   auto run_once = [] {
-    TestbedConfig c;
-    c.model_name = "bert";
-    const Testbed tb(c);
-    RunOptions opt;
-    opt.num_queries = 1000;
-    opt.rate_qps = 100.0;
-    opt.seed = 77;
-    return tb.RunStats(tb.PlanParis(), SchedulerKind::kElsa, opt);
+    const auto tb = MakeTb("bert");
+    return StatsAt(tb, tb.PlanMixed().plan, SchedulerKind::kElsa, 100.0,
+                   1000, /*seed=*/77);
   };
   const auto a = run_once();
   const auto b = run_once();

@@ -6,7 +6,7 @@
 #include "online/repartition_controller.h"
 #include "online/traffic_estimator.h"
 #include "perf/model_zoo.h"
-#include "profile/profiler.h"
+#include "profile/model_repertoire.h"
 #include "sched/elsa.h"
 #include "workload/scenario.h"
 
@@ -78,21 +78,32 @@ TEST(TrafficEstimator, InvalidConstruction) {
   EXPECT_THROW(TrafficEstimator(8, 0), std::invalid_argument);
 }
 
+// A single paper model is the one-model mix: the controller and the
+// elastic simulator serve a one-entry repertoire, and the drift they chase
+// is that model's batch-size PMF.
 class ControllerFixture : public ::testing::Test {
  protected:
+  static const profile::ModelRepertoire& Repertoire() {
+    static const profile::ModelRepertoire rep =
+        profile::BuildZooRepertoire({"resnet"});
+    return rep;
+  }
   static const profile::ProfileTable& Profile() {
-    static const profile::ProfileTable table = [] {
-      profile::Profiler profiler;
-      return profiler.Profile(perf::BuildResNet50(),
-                              profile::ProfilerConfig::Default(64));
-    }();
-    return table;
+    return Repertoire().profile(0);
   }
 
-  static RepartitionController MakeController(ElasticConfig config = {}) {
+  static MixedRepartitionController MakeController(ElasticConfig config = {}) {
     static const workload::LogNormalBatchDist initial(4.0, 0.6, 32);
-    return RepartitionController(Profile(), hw::Cluster(8), 48, initial,
-                                 partition::ParisConfig{}, config);
+    workload::MixSpec mix;
+    mix.components.push_back({0, 1.0, &initial});
+    return MixedRepartitionController(Repertoire(), hw::Cluster(8), 48, mix,
+                                      partition::ParisConfig{}, config);
+  }
+
+  static SchedulerFactory Elsa(SimTime sla) {
+    return [sla] {
+      return std::make_unique<sched::ElsaScheduler>(Repertoire(), sla);
+    };
   }
 };
 
@@ -101,6 +112,9 @@ TEST_F(ControllerFixture, InitialPlanFromSeedDistribution) {
   EXPECT_GT(controller.current_plan().NumInstances(), 0);
   EXPECT_LE(controller.current_plan().TotalGpcs(), 48);
   EXPECT_EQ(controller.reconfigurations(), 0);
+  // One model owns the whole budget.
+  ASSERT_EQ(controller.current_budgets().size(), 1u);
+  EXPECT_EQ(controller.current_budgets()[0], 48);
 }
 
 TEST_F(ControllerFixture, NoRepartitionBelowMinObservations) {
@@ -183,10 +197,8 @@ TEST_F(ControllerFixture, DriftFreeRunMatchesStaticServerBitIdentical) {
   };
   const std::uint64_t seed = 0xABCD;
 
-  ElasticServerSim elastic(
-      controller, profile,
-      [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-      actual, sla, /*queries_per_epoch=*/500, seed);
+  ElasticServerSim elastic(controller, Repertoire(), Elsa(sla), sla,
+                           /*queries_per_epoch=*/500, seed);
   const auto elastic_result = elastic.Run(trace);
   EXPECT_EQ(elastic_result.reconfigurations, 0);
   EXPECT_EQ(elastic_result.total.reconfig_stalled, 0u);
@@ -240,23 +252,15 @@ TEST_F(ControllerFixture, SameSeedSameResult) {
                                        {{&small, 2000}, {&large, 2000}});
   const auto trace = workload::Take(drifting, 4000, rng);
 
-  const auto& profile = Profile();
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  const auto model = perf::BuildResNet50();
-  perf::RooflineEngine engine;
-  sim::LatencyFn actual = [engine, model](int g, int b) {
-    return engine.LatencySec(model, g, b);
-  };
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
 
   auto run_once = [&] {
     ElasticConfig config;
     config.min_observations = 400;
     config.drift_threshold = 0.15;
     auto controller = MakeController(config);
-    ElasticServerSim sim(
-        controller, profile,
-        [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-        actual, sla, /*queries_per_epoch=*/1000, /*seed=*/42);
+    ElasticServerSim sim(controller, Repertoire(), Elsa(sla), sla,
+                         /*queries_per_epoch=*/1000, /*seed=*/42);
     return sim.Run(trace);
   };
   const auto a = run_once();
@@ -282,15 +286,9 @@ TEST_F(ControllerFixture, ElasticServerTracksDriftingWorkload) {
                                        {{&small, 4000}, {&large, 4000}});
   const auto trace = workload::Take(drifting, 8000, rng);
 
-  const auto& profile = Profile();
-  const SimTime sla = SecToTicks(1.5 * profile.LatencySec(7, 32));
-  const auto model = perf::BuildResNet50();
-  perf::RooflineEngine engine;
-  ElasticServerSim sim(
-      controller, profile,
-      [&] { return std::make_unique<sched::ElsaScheduler>(profile, sla); },
-      [engine, model](int g, int b) { return engine.LatencySec(model, g, b); },
-      sla, /*queries_per_epoch=*/1000);
+  const SimTime sla = SecToTicks(1.5 * Profile().LatencySec(7, 32));
+  ElasticServerSim sim(controller, Repertoire(), Elsa(sla), sla,
+                       /*queries_per_epoch=*/1000);
   const auto result = sim.Run(trace);
 
   EXPECT_EQ(result.total.completed, trace.size());

@@ -8,12 +8,18 @@
 //   trace     -- generate a query trace CSV for external tools
 //   elastic   -- one continuous run under workload drift with live
 //                re-partitioning (reconfigurations as simulation events)
-//   mix       -- multi-model serving: a consolidated mixed-PARIS layout
-//                replays an interleaved multi-model trace with a
-//                configurable model-swap penalty
+//   mix       -- simulate with a model list by default: a consolidated
+//                mixed-PARIS layout replays an interleaved multi-model
+//                trace with a configurable model-swap penalty
 //   fleet     -- N servers behind a pluggable router tier: the fleet trace
 //                is split deterministically across per-server engines that
 //                replay in parallel (bit-identical at any --jobs)
+//
+// Every subcommand builds one server from the same options.  A single
+// paper model is the mix of one: profile, plan, simulate, sweep, trace and
+// elastic default to the --model preset, sized from that model's Table I
+// row (GPUs and GPC budget); --models switches them to a list.  mix and
+// fleet default to the resnet,mobilenet list on 8 GPUs / 48 GPCs.
 //
 // Common options:
 //   --model NAME        shufflenet|mobilenet|resnet|bert|conformer (resnet)
@@ -21,6 +27,8 @@
 //   --sigma S           log-normal sigma (0.9)
 //   --max-batch B       distribution max batch (32)
 //   --sla-n N           SLA multiplier (1.5)
+//   --jobs N            experiment-engine threads in [1, 1024] (1);
+//                       validated everywhere, used by sweep and fleet
 // workload options (simulate/trace/elastic/mix/fleet):
 //   --scenario R        named workload preset, optionally parameterized:
 //                       steady|diurnal|flashcrowd|mixdrift|heavytail
@@ -32,14 +40,13 @@
 //                       model names come from the document, so a captured
 //                       fleet sub-trace replays standalone.  Exclusive
 //                       with --scenario.
-// simulate options:
+// simulate / mix options:
 //   --design D          paris|random|gpu1|gpu2|gpu3|gpu4|gpu7 (paris)
 //   --scheduler S       elsa|fifs|jsq|greedy (elsa)
-//   --rate QPS          offered load (0 = 85% of the design's capacity)
+//   --rate QPS          offered load (simulate: 0 = 85% of the design's
+//                       capacity; mix: 300)
 //   --queries N         trace length (20000)
 //   --seed S            workload seed (1)
-//   --jobs N            experiment-engine threads in [1, 1024] (1);
-//                       parallelizes the sweep subcommand's probes
 //   --json PATH         also write machine-readable JSON results to PATH
 //   --csv               machine-readable output where applicable
 // elastic options:
@@ -49,18 +56,18 @@
 //   --drift T           total-variation drift threshold that triggers
 //                       re-partitioning (0.15)
 //   --drift-median M    log-normal batch median of the drifted middle
-//                       phase of the workload (18)
+//                       phase of the --model preset's default workload (18)
 //   --downtime-ms D     downtime charged per reconfiguration (2000)
-// mix options:
+// model-list options (any subcommand; mix and fleet default to a list):
 //   --models A,B,...    comma-separated model-zoo names (resnet,mobilenet)
 //   --shares X,Y,...    per-model traffic shares, index-aligned with
 //                       --models (uniform when omitted)
 //   --medians X,Y,...   per-model log-normal batch medians (--median each)
 //   --swap-cost-us C    model-swap penalty charged when a partition starts
 //                       a query of a non-resident model (0)
-//   --budget G          total GPC budget of the consolidated server (48)
-//   --gpus N            physical GPUs in the cluster (8)
-// fleet options (mix options apply per server):
+//   --budget G          total GPC budget of the server (48, or Table I)
+//   --gpus N            physical GPUs in the cluster (8, or Table I)
+// fleet options (model-list options apply per server):
 //   --servers N         number of inference servers (4)
 //   --policy P          router policy: hash|least|po2c (hash)
 //   --placement K       uniform|sharded model placement (uniform)
@@ -84,12 +91,14 @@
 #include "core/experiment.h"
 #include "core/fleet_runner.h"
 #include "core/mix_runner.h"
+#include "core/paper_config.h"
 #include "core/result_io.h"
-#include "core/server_builder.h"
 #include "fleet/placement.h"
 #include "fleet/router.h"
 #include "online/elastic_server.h"
 #include "online/repartition_controller.h"
+#include "partition/paris.h"
+#include "workload/arrival.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
@@ -147,32 +156,6 @@ void MaybeWriteJson(const ArgParser& args, core::Json report) {
   std::cerr << "json: " << *path << "\n";
 }
 
-core::TestbedConfig ConfigFrom(const ArgParser& args) {
-  core::TestbedConfig config;
-  config.model_name = args.GetString("model", "resnet");
-  config.dist_median = args.GetDouble("median", config.dist_median);
-  config.dist_sigma = args.GetDouble("sigma", config.dist_sigma);
-  const long long max_batch = args.GetInt("max-batch", 32);
-  if (max_batch < 1 || max_batch > 4096) {
-    throw std::invalid_argument(
-        "--max-batch: expected an integer in [1, 4096], got " +
-        std::to_string(max_batch));
-  }
-  config.max_batch = static_cast<int>(max_batch);
-  config.sla_n = args.GetDouble("sla-n", 1.5);
-  return config;
-}
-
-partition::PartitionPlan PlanFrom(const core::Testbed& tb,
-                                  const std::string& design) {
-  if (design == "paris") return tb.PlanParis();
-  if (design == "random") return tb.PlanRandom();
-  if (design.rfind("gpu", 0) == 0 && design.size() == 4) {
-    return tb.PlanHomogeneous(design[3] - '0');
-  }
-  throw std::invalid_argument("unknown --design: " + design);
-}
-
 core::SchedulerKind SchedulerFrom(const std::string& name) {
   if (name == "elsa") return core::SchedulerKind::kElsa;
   if (name == "fifs") return core::SchedulerKind::kFifs;
@@ -227,35 +210,63 @@ std::vector<double> GetDoubleList(const ArgParser& args,
   return values;
 }
 
-// Shared by `mix` and `fleet` (per-server world): the model list, shares,
-// distributions, budget, and swap cost.  When a replayed trace supplies
-// `names_override`, its symbolic model names define the model list; an
-// explicit conflicting --models is an error rather than a silent mismatch
-// of model ids.
-core::MixConfig MixConfigFrom(
-    const ArgParser& args,
-    const std::vector<std::string>* names_override = nullptr) {
-  std::vector<std::string> model_names;
-  if (names_override != nullptr) {
-    if (const auto flag = args.GetString("models")) {
-      if (SplitList(*flag) != *names_override) {
-        throw std::invalid_argument(
-            "--models conflicts with the replayed trace's models[]; drop "
-            "the flag or re-capture");
-      }
+// The models a run serves, and whether they are the one-model paper
+// preset.  Models come from, in order: a replayed trace's models[], an
+// explicit --models list, or the subcommand's default -- the --model preset
+// (`preset_default`) or the resnet,mobilenet list.  A replay pins the
+// names, so a conflicting --models (or, where --model is the default, a
+// --model other than the trace's one model) is an error rather than a
+// silent mismatch of model ids.
+struct ModelChoice {
+  std::vector<std::string> names;
+  bool preset = false;  // one model named without --models: Table I sizing
+};
+
+ModelChoice ChooseModels(const ArgParser& args, bool preset_default,
+                         const std::optional<workload::TraceDocument>& replay) {
+  const auto list = args.GetString("models");
+  ModelChoice choice;
+  if (replay) {
+    if (list && SplitList(*list) != replay->models) {
+      throw std::invalid_argument(
+          "--models conflicts with the replayed trace's models[]; drop "
+          "the flag or re-capture");
     }
-    model_names = *names_override;
+    choice.names = replay->models;
+  } else if (list) {
+    choice.names = SplitList(*list);
+  } else if (preset_default) {
+    choice.names = {args.GetString("model", "resnet")};
   } else {
-    model_names = SplitList(args.GetString("models", "resnet,mobilenet"));
+    choice.names = {"resnet", "mobilenet"};
   }
-  const auto shares = GetDoubleList(args, "shares", model_names.size());
-  const auto medians = GetDoubleList(args, "medians", model_names.size());
+  const auto model_flag = args.GetString("model");
+  if (replay && preset_default && model_flag &&
+      replay->models != std::vector<std::string>{*model_flag}) {
+    throw std::invalid_argument(
+        "--model conflicts with the replayed trace's models[]; drop the "
+        "flag or re-capture");
+  }
+  choice.preset = preset_default && !list && choice.names.size() == 1;
+  return choice;
+}
+
+// The one config builder behind every subcommand: per-model shares and
+// distributions, batch cap, SLA rule, server size, and swap cost.  The
+// preset starts from core::PaperConfig (Table I GPUs and budget); a list
+// starts from 8 GPUs and 48 GPCs.  --gpus/--budget override either.
+core::MixConfig ConfigFrom(const ArgParser& args, const ModelChoice& choice) {
+  const auto& names = choice.names;
+  const auto shares = GetDoubleList(args, "shares", names.size());
+  const auto medians = GetDoubleList(args, "medians", names.size());
   const double default_median = args.GetDouble("median", 6.0);
 
-  core::MixConfig mc;
-  for (std::size_t i = 0; i < model_names.size(); ++i) {
+  core::MixConfig mc =
+      choice.preset ? core::PaperConfig(names[0]) : core::MixConfig{};
+  mc.models.clear();
+  for (std::size_t i = 0; i < names.size(); ++i) {
     core::MixModelConfig m;
-    m.model = model_names[i];
+    m.model = names[i];
     m.share = shares.empty() ? 1.0 : shares[i];
     m.dist_median = medians.empty() ? default_median : medians[i];
     m.dist_sigma = args.GetDouble("sigma", m.dist_sigma);
@@ -269,14 +280,24 @@ core::MixConfig MixConfigFrom(
   }
   mc.max_batch = static_cast<int>(max_batch);
   mc.sla_n = args.GetDouble("sla-n", 1.5);
-  mc.num_gpus = static_cast<int>(GetCount(args, "gpus", 8));
-  mc.gpc_budget = static_cast<int>(GetCount(args, "budget", 48));
+  mc.num_gpus = static_cast<int>(GetCount(args, "gpus", mc.num_gpus));
+  mc.gpc_budget = static_cast<int>(GetCount(args, "budget", mc.gpc_budget));
   mc.swap_cost_us = args.GetDouble("swap-cost-us", 0.0);
   if (mc.swap_cost_us < 0.0) {
     throw std::invalid_argument("--swap-cost-us: expected >= 0, got " +
                                 std::to_string(mc.swap_cost_us));
   }
   return mc;
+}
+
+// Report label of the models a run serves ("resnet", "resnet+mobilenet").
+std::string ModelLabel(const core::MixTestbed& tb) {
+  std::string label;
+  for (const auto& name : tb.ModelNames()) {
+    if (!label.empty()) label += "+";
+    label += name;
+  }
+  return label;
 }
 
 // ---- Scenario / capture / replay plumbing ---------------------------------
@@ -346,10 +367,10 @@ struct ResolvedWorkload {
   std::string label;  // scenario name (or the replayed document's label)
 };
 
-// The one workload resolution `mix` and `fleet` share, so scenario options
-// apply identically to both (and to any standalone replay of a captured
-// fleet sub-trace).
-ResolvedWorkload ResolveMixWorkload(
+// The one workload resolution every server-driving subcommand shares, so
+// scenario options apply identically to all (and to any standalone replay
+// of a captured fleet sub-trace).
+ResolvedWorkload ResolveWorkload(
     const ArgParser& args, const core::MixTestbed& tb,
     const std::optional<workload::TraceDocument>& replay, double rate_qps,
     std::size_t num_queries, std::uint64_t seed) {
@@ -366,18 +387,34 @@ ResolvedWorkload ResolveMixWorkload(
   return w;
 }
 
+// profile and plan describe one model's PARIS inputs.
+core::MixTestbed OneModelTestbed(const ArgParser& args,
+                                 const std::string& subcommand) {
+  core::MixTestbed tb(ConfigFrom(args, ChooseModels(args, true, {})));
+  if (tb.num_models() != 1) {
+    throw std::invalid_argument(subcommand + ": expected one model, got " +
+                                std::to_string(tb.num_models()));
+  }
+  return tb;
+}
+
 int CmdProfile(const ArgParser& args) {
-  const core::Testbed tb(ConfigFrom(args));
-  tb.profile().SaveCsv(std::cout);
+  const core::MixTestbed tb = OneModelTestbed(args, "profile");
+  tb.repertoire().profile(0).SaveCsv(std::cout);
   return 0;
 }
 
 int CmdPlan(const ArgParser& args) {
-  const core::Testbed tb(ConfigFrom(args));
-  const auto plan = tb.PlanParis();
-  std::cout << "model:      " << tb.config().model_name << "\n"
-            << "budget:     " << tb.table1().gpc_budget << " GPCs on "
-            << tb.table1().num_gpus << " GPUs\n"
+  const core::MixTestbed tb = OneModelTestbed(args, "plan");
+  const core::MixConfig& mc = tb.config();
+  // The PARIS partitioner itself rather than PlanMixed, so the rationale
+  // names the knees.
+  partition::ParisPartitioner paris(tb.repertoire().profile(0),
+                                    *tb.mix().components[0].dist, mc.paris);
+  const auto plan = paris.Plan(tb.cluster(), mc.gpc_budget);
+  std::cout << "model:      " << mc.models[0].model << "\n"
+            << "budget:     " << mc.gpc_budget << " GPCs on " << mc.num_gpus
+            << " GPUs\n"
             << "sla:        " << TicksToMs(tb.sla_target()) << " ms\n"
             << "plan:       " << plan.Summary() << "\n"
             << "placement:  " << plan.layout.ToString() << "\n"
@@ -385,65 +422,54 @@ int CmdPlan(const ArgParser& args) {
   return 0;
 }
 
-int CmdSimulate(const ArgParser& args) {
-  // --jobs is validated for interface uniformity, but a single simulation
-  // (and the serial bisection behind auto rate) runs on one thread; the
-  // emitted report records the thread count actually used.
-  GetJobs(args);
+// The non-PARIS --design values (PARIS is MixTestbed::PlanMixed).
+partition::PartitionPlan PlanFrom(const core::MixTestbed& tb,
+                                  const std::string& design) {
+  if (design == "random") return tb.PlanRandom();
+  if (design.rfind("gpu", 0) == 0 && design.size() == 4) {
+    return tb.PlanHomogeneous(design[3] - '0');
+  }
+  throw std::invalid_argument("unknown --design: " + design);
+}
+
+// `simulate` and `mix`: one design replays one workload.  They differ only
+// in defaults: simulate is the --model preset with an automatic rate (85%
+// of the design's latency-bounded throughput), mix the resnet,mobilenet
+// list at 300 qps.  simulate's report adds the legacy "model" key.
+int CmdServe(const ArgParser& args, bool simulate) {
   CheckJsonSink(args);
   const auto replay = LoadReplayDoc(args);
-  core::TestbedConfig config = ConfigFrom(args);
-  if (replay) {
-    if (replay->models.size() != 1) {
-      throw std::invalid_argument(
-          "simulate replays single-model traces; the document carries " +
-          std::to_string(replay->models.size()) +
-          " models (use mix or fleet)");
-    }
-    if (const auto flag = args.GetString("model");
-        flag && *flag != replay->models[0]) {
-      throw std::invalid_argument(
-          "--model conflicts with the replayed trace's model '" +
-          replay->models[0] + "'");
-    }
-    config.model_name = replay->models[0];
-  }
-  const core::Testbed tb(std::move(config));
-  const auto plan = PlanFrom(tb, args.GetString("design", "paris"));
+  const core::MixTestbed tb(
+      ConfigFrom(args, ChooseModels(args, simulate, replay)));
+  const core::MixConfig& mc = tb.config();
+  const std::string design = args.GetString("design", "paris");
+  const auto mixed = tb.PlanMixed();
+  const auto plan = design == "paris" ? mixed.plan : PlanFrom(tb, design);
   const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
+  const std::size_t num_queries = GetCount(args, "queries", 20000);
+  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
 
-  core::RunOptions run;
-  run.num_queries = GetCount(args, "queries", 20000);
-  run.seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
-  run.rate_qps = args.GetDouble("rate", 0.0);
-  if (run.rate_qps <= 0.0 && !replay) {
+  double rate_qps = args.GetDouble("rate", simulate ? 0.0 : 300.0);
+  if (rate_qps <= 0.0 && !replay) {
+    // The bisection behind the automatic rate runs serially.
     const auto bound = core::LatencyBoundedThroughput(
         tb, plan, kind, TicksToMs(tb.sla_target()));
-    run.rate_qps = 0.85 * bound.qps;
-    std::cerr << "auto rate: " << run.rate_qps << " qps\n";
+    rate_qps = 0.85 * bound.qps;
+    std::cerr << "auto rate: " << rate_qps << " qps\n";
   }
-
-  workload::QueryTrace trace;
-  std::string scenario_label;
-  if (replay) {
-    trace = replay->trace;
-    scenario_label = replay->scenario.empty() ? "replay" : replay->scenario;
-    run.rate_qps = trace.OfferedQps();
-  } else {
-    trace = ScenarioTraceFrom(args, tb.ScenarioFor(run.rate_qps),
-                              run.num_queries, run.seed);
-    scenario_label = ScenarioLabel(args);
-  }
-  MaybeCaptureTrace(args, trace, {tb.config().model_name}, scenario_label);
+  const auto workload =
+      ResolveWorkload(args, tb, replay, rate_qps, num_queries, seed);
+  if (replay) rate_qps = workload.trace.OfferedQps();
 
   auto scheduler = tb.MakeScheduler(kind);
-  const auto stats =
-      tb.RunTrace(plan, *scheduler, trace, run.seed).Stats(tb.sla_target());
+  const auto result =
+      tb.Run(plan.instance_gpcs, *scheduler, workload.trace, seed);
+  const auto stats = result.Stats(tb.sla_target());
 
   Table t({"metric", "value"});
   t.AddRow({"design", plan.Summary()});
   t.AddRow({"scheduler", ToString(kind)});
-  t.AddRow({"offered qps", Table::Num(run.rate_qps, 1)});
+  t.AddRow({"offered qps", Table::Num(rate_qps, 1)});
   t.AddRow({"achieved qps", Table::Num(stats.achieved_qps, 1)});
   t.AddRow({"mean ms", Table::Num(stats.mean_latency_ms, 3)});
   t.AddRow({"p50 ms", Table::Num(stats.p50_latency_ms, 3)});
@@ -452,308 +478,12 @@ int CmdSimulate(const ArgParser& args) {
   t.AddRow({"SLA violation %", Table::Num(100 * stats.sla_violation_rate, 2)});
   t.AddRow({"GPU utilization %",
             Table::Num(100 * stats.mean_worker_utilization, 1)});
-  if (args.HasFlag("csv")) {
-    t.PrintCsv(std::cout);
-  } else {
-    t.Print(std::cout);
-  }
-
-  core::Json data = core::Json::Object();
-  data.Set("model", tb.config().model_name);
-  data.Set("design", plan.Summary());
-  data.Set("scheduler", core::ToString(kind));
-  data.Set("scenario", scenario_label);
-  data.Set("offered_qps", run.rate_qps);
-  data.Set("achieved_qps", stats.achieved_qps);
-  data.Set("mean_ms", stats.mean_latency_ms);
-  data.Set("p50_ms", stats.p50_latency_ms);
-  data.Set("p95_ms", stats.p95_latency_ms);
-  data.Set("p99_ms", stats.p99_latency_ms);
-  data.Set("sla_violation_rate", stats.sla_violation_rate);
-  data.Set("utilization", stats.mean_worker_utilization);
-  auto report = core::MakeBenchReport("cli_simulate", false, /*jobs=*/1);
-  report.Set("data", std::move(data));
-  MaybeWriteJson(args, std::move(report));
-  return 0;
-}
-
-int CmdSweep(const ArgParser& args) {
-  const int jobs = GetJobs(args);
-  CheckJsonSink(args);
-  const core::Testbed tb(ConfigFrom(args));
-  const double sla_ms = TicksToMs(tb.sla_target());
-  core::SearchOptions search;
-  search.num_queries = GetCount(args, "queries", 4000);
-  search.jobs = jobs;
-
-  Table t({"design", "qps", "normalized"});
-  std::vector<core::ProbeSpec> specs;
-  for (int size : {7, 3, 2, 1}) {
-    specs.push_back({"GPU(" + std::to_string(size) + ")+FIFS",
-                     tb.PlanHomogeneous(size), core::SchedulerKind::kFifs,
-                     sched::ElsaParams{}});
-  }
-  specs.push_back({"Random+ELSA", tb.PlanRandom(), core::SchedulerKind::kElsa,
-                   sched::ElsaParams{}});
-  specs.push_back({"PARIS+FIFS", tb.PlanParis(), core::SchedulerKind::kFifs,
-                   sched::ElsaParams{}});
-  specs.push_back({"PARIS+ELSA", tb.PlanParis(), core::SchedulerKind::kElsa,
-                   sched::ElsaParams{}});
-
-  // The designs are independent probes; fan out across --jobs threads.
-  const auto results =
-      core::LatencyBoundedThroughputBatch(tb, specs, sla_ms, search);
-
-  core::Json design_results = core::Json::Array();
-  double base = 0.0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (base == 0.0) base = results[i].qps;
-    const double norm = base > 0 ? results[i].qps / base : 0.0;
-    t.AddRow({specs[i].label, Table::Num(results[i].qps, 0),
-              Table::Num(norm, 2)});
-    core::Json d = core::ToJson(results[i]);
-    d.Set("design", specs[i].label);
-    d.Set("normalized", norm);
-    design_results.Add(std::move(d));
-  }
-  if (args.HasFlag("csv")) {
-    t.PrintCsv(std::cout);
-  } else {
-    t.Print(std::cout);
-  }
-
-  core::Json data = core::Json::Object();
-  data.Set("model", tb.config().model_name);
-  data.Set("sla_ms", sla_ms);
-  data.Set("baseline", specs.front().label);
-  data.Set("designs", std::move(design_results));
-  auto report = core::MakeBenchReport("cli_sweep", false, jobs);
-  report.Set("data", std::move(data));
-  MaybeWriteJson(args, std::move(report));
-  return 0;
-}
-
-// Epoch granularity shared by both elastic forms: ceil(trace/epochs),
-// --epochs validated against the actual trace length.
-std::size_t QueriesPerEpoch(const ArgParser& args, std::size_t num_queries) {
-  const std::size_t epochs = GetCount(args, "epochs", 8);
-  if (epochs < 1 || epochs > num_queries) {
-    throw std::invalid_argument(
-        "--epochs: expected an integer in [1, #queries], got " +
-        std::to_string(epochs));
-  }
-  return (num_queries + epochs - 1) / epochs;
-}
-
-online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
-                                        std::size_t queries_per_epoch) {
-  const double downtime_ms = args.GetDouble("downtime-ms", 2000.0);
-  if (downtime_ms < 0.0) {
-    throw std::invalid_argument("--downtime-ms: expected >= 0, got " +
-                                std::to_string(downtime_ms));
-  }
-  online::ElasticConfig econfig;
-  econfig.drift_threshold = args.GetDouble("drift", 0.15);
-  econfig.reconfig_downtime = MsToTicks(downtime_ms);
-  // Trust the estimator once it has seen half an epoch (capped at the
-  // library default) so short smoke runs can still reconfigure.
-  econfig.min_observations =
-      std::min<std::size_t>(econfig.min_observations, queries_per_epoch / 2);
-  return econfig;
-}
-
-int ReportElastic(const ArgParser& args, const online::ElasticResult& result,
-                  const std::string& model_label, core::SchedulerKind kind,
-                  double rate_qps, std::size_t queries_per_epoch,
-                  const online::ElasticConfig& econfig, std::uint64_t seed,
-                  const std::string& scenario_label) {
-  Table e({"epoch", "layout", "p95 ms", "viol. %", "stalled", "reconfig"});
-  for (std::size_t i = 0; i < result.epochs.size(); ++i) {
-    const auto& ep = result.epochs[i];
-    partition::PartitionPlan tmp;
-    tmp.instance_gpcs = ep.layout;
-    e.AddRow({Table::Int(static_cast<long long>(i)), tmp.Summary(),
-              Table::Num(ep.p95_ms, 2), Table::Num(100 * ep.violation_rate, 2),
-              Table::Int(static_cast<long long>(ep.stalled)),
-              ep.reconfigured ? "yes" : ""});
-  }
-  Table t({"metric", "value"});
-  t.AddRow({"model", model_label});
-  t.AddRow({"scheduler", ToString(kind)});
-  t.AddRow({"scenario", scenario_label});
-  t.AddRow({"offered qps", Table::Num(rate_qps, 1)});
-  t.AddRow({"reconfigurations", Table::Int(result.reconfigurations)});
-  t.AddRow({"stalled queries",
-            Table::Int(static_cast<long long>(result.total.reconfig_stalled))});
-  t.AddRow({"p95 ms", Table::Num(result.total.p95_latency_ms, 3)});
-  t.AddRow({"SLA violation %",
-            Table::Num(100 * result.total.sla_violation_rate, 2)});
-  if (args.HasFlag("csv")) {
-    e.PrintCsv(std::cout);
-    t.PrintCsv(std::cout);
-  } else {
-    e.Print(std::cout);
-    std::cout << "\n";
-    t.Print(std::cout);
-  }
-
-  core::Json data = core::ToJson(result);
-  data.Set("model", model_label);
-  data.Set("scheduler", core::ToString(kind));
-  data.Set("scenario", scenario_label);
-  data.Set("offered_qps", rate_qps);
-  data.Set("queries_per_epoch", static_cast<std::uint64_t>(queries_per_epoch));
-  data.Set("drift_threshold", econfig.drift_threshold);
-  data.Set("downtime_ms", TicksToMs(econfig.reconfig_downtime));
-  data.Set("seed", seed);
-  auto report = core::MakeBenchReport("cli_elastic", false, /*jobs=*/1);
-  report.Set("data", std::move(data));
-  MaybeWriteJson(args, std::move(report));
-  return 0;
-}
-
-// Multi-model elastic serving: one continuous run whose mix the
-// MixedRepartitionController chases (re-deriving per-model budgets from
-// the live shares).  The designed demo of the mix-drift machinery:
-//   paris_elsa_cli elastic --models resnet,mobilenet --scenario mixdrift
-int CmdElasticMix(const ArgParser& args,
-                  const std::optional<workload::TraceDocument>& replay) {
-  const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
-  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
-  const double rate_qps = args.GetDouble("rate", 300.0);
-  const std::size_t num_queries = GetCount(args, "queries", 12000);
-
-  const core::MixConfig mc =
-      MixConfigFrom(args, replay ? &replay->models : nullptr);
-  const core::MixTestbed tb(mc);
-  const auto workload =
-      ResolveMixWorkload(args, tb, replay, rate_qps, num_queries, seed);
-
-  const std::size_t queries_per_epoch =
-      QueriesPerEpoch(args, workload.trace.size());
-  const online::ElasticConfig econfig =
-      ElasticConfigFrom(args, queries_per_epoch);
-  online::MixedRepartitionController controller(
-      tb.repertoire(), tb.cluster(), mc.gpc_budget, tb.mix(), mc.paris,
-      econfig);
-  online::ElasticServerSim sim(
-      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
-      tb.sla_target(), queries_per_epoch, seed,
-      UsToTicks(mc.swap_cost_us));
-  const auto result = sim.Run(workload.trace);
-
-  std::string model_label;
-  for (const auto& name : tb.ModelNames()) {
-    if (!model_label.empty()) model_label += "+";
-    model_label += name;
-  }
-  return ReportElastic(args, result, model_label, kind, rate_qps,
-                       queries_per_epoch, econfig, seed, workload.label);
-}
-
-int CmdElastic(const ArgParser& args) {
-  CheckJsonSink(args);
-  const auto replay = LoadReplayDoc(args);
-  // Multi-model runs (an explicit --models list, or a replayed multi-model
-  // capture) go through the mixed controller.
-  if (args.GetString("models") || (replay && replay->models.size() > 1)) {
-    return CmdElasticMix(args, replay);
-  }
-
-  core::TestbedConfig config = ConfigFrom(args);
-  if (replay) {
-    if (const auto flag = args.GetString("model");
-        flag && *flag != replay->models[0]) {
-      throw std::invalid_argument(
-          "--model conflicts with the replayed trace's model '" +
-          replay->models[0] + "'");
-    }
-    config.model_name = replay->models[0];
-  }
-  const core::Testbed tb(std::move(config));
-  const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
-
-  const std::size_t num_queries = GetCount(args, "queries", 12000);
-  const double drift_median = args.GetDouble("drift-median", 18.0);
-  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
-  const double rate_qps = args.GetDouble("rate", 300.0);
-  const auto& cfg = tb.config();
-
-  workload::QueryTrace trace;
-  std::string scenario_label;
-  if (replay) {
-    trace = replay->trace;
-    scenario_label = replay->scenario.empty() ? "replay" : replay->scenario;
-  } else if (args.GetString("scenario")) {
-    trace = ScenarioTraceFrom(args, tb.ScenarioFor(rate_qps), num_queries,
-                              seed);
-    scenario_label = ScenarioLabel(args);
-  } else {
-    // Legacy day-cycle drift: base-median phase, drifted-median phase, and
-    // back (batch-size drift, the single-model controller's target).
-    workload::LogNormalBatchDist base(cfg.dist_median, cfg.dist_sigma,
-                                      cfg.max_batch);
-    workload::LogNormalBatchDist drifted(drift_median, cfg.dist_sigma,
-                                         cfg.max_batch);
-    workload::PoissonArrivals arrivals(rate_qps);
-    Rng rng(seed);
-    const std::size_t third = num_queries / 3;
-    workload::PhasedTraceSource day_cycle(
-        arrivals,
-        {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}});
-    trace = workload::Take(day_cycle, num_queries, rng);
-    scenario_label = "drift-phases";
-  }
-  MaybeCaptureTrace(args, trace, {cfg.model_name}, scenario_label);
-
-  const std::size_t queries_per_epoch = QueriesPerEpoch(args, trace.size());
-  const online::ElasticConfig econfig =
-      ElasticConfigFrom(args, queries_per_epoch);
-  online::RepartitionController controller(tb.profile(), tb.cluster(),
-                                           tb.table1().gpc_budget, tb.dist(),
-                                           cfg.paris, econfig);
-  online::ElasticServerSim sim(
-      controller, tb.profile(), [&] { return tb.MakeScheduler(kind); },
-      tb.ActualLatency(), tb.sla_target(), queries_per_epoch, seed);
-  const auto result = sim.Run(trace);
-
-  return ReportElastic(args, result, cfg.model_name, kind, rate_qps,
-                       queries_per_epoch, econfig, seed, scenario_label);
-}
-
-int CmdMix(const ArgParser& args) {
-  CheckJsonSink(args);
-  const auto replay = LoadReplayDoc(args);
-  const core::MixConfig mc =
-      MixConfigFrom(args, replay ? &replay->models : nullptr);
-  const core::MixTestbed tb(mc);
-  const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
-  const double rate_qps = args.GetDouble("rate", 300.0);
-  const std::size_t num_queries = GetCount(args, "queries", 20000);
-  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
-
-  const auto mixed = tb.PlanMixed();
-  const auto workload =
-      ResolveMixWorkload(args, tb, replay, rate_qps, num_queries, seed);
-  const auto& trace = workload.trace;
-  auto scheduler = tb.MakeScheduler(kind);
-  const auto result =
-      tb.Run(mixed.plan.instance_gpcs, *scheduler, trace, seed);
-  const auto stats = result.Stats(tb.sla_target());
-
-  Table t({"metric", "value"});
-  t.AddRow({"design", mixed.plan.Summary()});
-  t.AddRow({"scheduler", ToString(kind)});
-  t.AddRow({"offered qps", Table::Num(rate_qps, 1)});
-  t.AddRow({"achieved qps", Table::Num(stats.achieved_qps, 1)});
-  t.AddRow({"p95 ms", Table::Num(stats.p95_latency_ms, 3)});
-  t.AddRow({"p99 ms", Table::Num(stats.p99_latency_ms, 3)});
-  t.AddRow({"SLA violation %", Table::Num(100 * stats.sla_violation_rate, 2)});
   t.AddRow({"model swaps",
             Table::Int(static_cast<long long>(stats.model_swaps))});
 
   // Report the *normalized* traffic split, not the raw weights (which
-  // need not sum to 1, e.g. when --shares is omitted).
+  // need not sum to 1, e.g. when --shares is omitted).  A model's budget
+  // is its mixed-PARIS share of the GPC budget.
   const auto norm_shares = tb.mix().NormalizedShares();
   Table per_model({"model", "share", "budget", "queries", "p95 ms",
                    "viol. %", "swaps"});
@@ -787,13 +517,204 @@ int CmdMix(const ArgParser& args) {
     models.Add(std::move(m));
   }
   data.Set("mix", std::move(models));
-  data.Set("design", mixed.plan.Summary());
+  if (simulate) data.Set("model", ModelLabel(tb));
+  data.Set("design", plan.Summary());
   data.Set("scheduler", core::ToString(kind));
   data.Set("scenario", workload.label);
   data.Set("offered_qps", rate_qps);
   data.Set("swap_cost_us", mc.swap_cost_us);
   data.Set("seed", seed);
-  auto report = core::MakeBenchReport("cli_mix", false, /*jobs=*/1);
+  auto report = core::MakeBenchReport(simulate ? "cli_simulate" : "cli_mix",
+                                      false, /*jobs=*/1);
+  report.Set("data", std::move(data));
+  MaybeWriteJson(args, std::move(report));
+  return 0;
+}
+
+int CmdSweep(const ArgParser& args) {
+  const int jobs = GetJobs(args);
+  CheckJsonSink(args);
+  const core::MixTestbed tb(ConfigFrom(args, ChooseModels(args, true, {})));
+  const double sla_ms = TicksToMs(tb.sla_target());
+  core::SearchOptions search;
+  search.num_queries = GetCount(args, "queries", 4000);
+  search.jobs = jobs;
+
+  Table t({"design", "qps", "normalized"});
+  std::vector<core::ProbeSpec> specs;
+  for (int size : {7, 3, 2, 1}) {
+    specs.push_back({"GPU(" + std::to_string(size) + ")+FIFS",
+                     tb.PlanHomogeneous(size), core::SchedulerKind::kFifs,
+                     sched::ElsaParams{}});
+  }
+  specs.push_back({"Random+ELSA", tb.PlanRandom(), core::SchedulerKind::kElsa,
+                   sched::ElsaParams{}});
+  const auto paris = tb.PlanMixed().plan;
+  specs.push_back(
+      {"PARIS+FIFS", paris, core::SchedulerKind::kFifs, sched::ElsaParams{}});
+  specs.push_back(
+      {"PARIS+ELSA", paris, core::SchedulerKind::kElsa, sched::ElsaParams{}});
+
+  // The designs are independent probes; fan out across --jobs threads.
+  const auto results =
+      core::LatencyBoundedThroughputBatch(tb, specs, sla_ms, search);
+
+  core::Json design_results = core::Json::Array();
+  double base = 0.0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (base == 0.0) base = results[i].qps;
+    const double norm = base > 0 ? results[i].qps / base : 0.0;
+    t.AddRow({specs[i].label, Table::Num(results[i].qps, 0),
+              Table::Num(norm, 2)});
+    core::Json d = core::ToJson(results[i]);
+    d.Set("design", specs[i].label);
+    d.Set("normalized", norm);
+    design_results.Add(std::move(d));
+  }
+  if (args.HasFlag("csv")) {
+    t.PrintCsv(std::cout);
+  } else {
+    t.Print(std::cout);
+  }
+
+  core::Json data = core::Json::Object();
+  data.Set("model", ModelLabel(tb));
+  data.Set("sla_ms", sla_ms);
+  data.Set("baseline", specs.front().label);
+  data.Set("designs", std::move(design_results));
+  auto report = core::MakeBenchReport("cli_sweep", false, jobs);
+  report.Set("data", std::move(data));
+  MaybeWriteJson(args, std::move(report));
+  return 0;
+}
+
+// Epoch granularity: ceil(trace/epochs), --epochs validated against the
+// actual trace length.
+std::size_t QueriesPerEpoch(const ArgParser& args, std::size_t num_queries) {
+  const std::size_t epochs = GetCount(args, "epochs", 8);
+  if (epochs < 1 || epochs > num_queries) {
+    throw std::invalid_argument(
+        "--epochs: expected an integer in [1, #queries], got " +
+        std::to_string(epochs));
+  }
+  return (num_queries + epochs - 1) / epochs;
+}
+
+online::ElasticConfig ElasticConfigFrom(const ArgParser& args,
+                                        std::size_t queries_per_epoch) {
+  const double downtime_ms = args.GetDouble("downtime-ms", 2000.0);
+  if (downtime_ms < 0.0) {
+    throw std::invalid_argument("--downtime-ms: expected >= 0, got " +
+                                std::to_string(downtime_ms));
+  }
+  online::ElasticConfig econfig;
+  econfig.drift_threshold = args.GetDouble("drift", 0.15);
+  econfig.reconfig_downtime = MsToTicks(downtime_ms);
+  // Trust the estimator once it has seen half an epoch (capped at the
+  // library default) so short smoke runs can still reconfigure.
+  econfig.min_observations =
+      std::min<std::size_t>(econfig.min_observations, queries_per_epoch / 2);
+  return econfig;
+}
+
+// The --model preset's default elastic workload: a day cycle of batch-size
+// drift -- base-median phase, --drift-median phase, and back.
+workload::QueryTrace DriftPhasesTrace(const ArgParser& args,
+                                      const core::MixTestbed& tb,
+                                      double rate_qps, std::size_t num_queries,
+                                      std::uint64_t seed) {
+  const core::MixModelConfig& m = tb.config().models[0];
+  workload::LogNormalBatchDist base(m.dist_median, m.dist_sigma,
+                                    tb.config().max_batch);
+  workload::LogNormalBatchDist drifted(args.GetDouble("drift-median", 18.0),
+                                       m.dist_sigma, tb.config().max_batch);
+  workload::PoissonArrivals arrivals(rate_qps);
+  Rng rng(seed);
+  const std::size_t third = num_queries / 3;
+  workload::PhasedTraceSource day_cycle(
+      arrivals,
+      {{&base, third}, {&drifted, third}, {&base, num_queries - 2 * third}});
+  return workload::Take(day_cycle, num_queries, rng);
+}
+
+// One continuous run whose layout the MixedRepartitionController chases
+// (re-deriving per-model budgets from the live shares and PMFs).  The
+// mix-drift demo:
+//   paris_elsa_cli elastic --models resnet,mobilenet --scenario mixdrift
+int CmdElastic(const ArgParser& args) {
+  CheckJsonSink(args);
+  const auto replay = LoadReplayDoc(args);
+  const ModelChoice choice = ChooseModels(args, true, replay);
+  const core::MixTestbed tb(ConfigFrom(args, choice));
+  const core::MixConfig& mc = tb.config();
+  const auto kind = SchedulerFrom(args.GetString("scheduler", "elsa"));
+  const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
+  double rate_qps = args.GetDouble("rate", 300.0);
+  const std::size_t num_queries = GetCount(args, "queries", 12000);
+
+  ResolvedWorkload workload;
+  if (choice.preset && !replay && !args.GetString("scenario")) {
+    workload.trace = DriftPhasesTrace(args, tb, rate_qps, num_queries, seed);
+    workload.label = "drift-phases";
+    MaybeCaptureTrace(args, workload.trace, tb.ModelNames(), workload.label);
+  } else {
+    workload = ResolveWorkload(args, tb, replay, rate_qps, num_queries, seed);
+  }
+  if (replay) rate_qps = workload.trace.OfferedQps();
+
+  const std::size_t queries_per_epoch =
+      QueriesPerEpoch(args, workload.trace.size());
+  const online::ElasticConfig econfig =
+      ElasticConfigFrom(args, queries_per_epoch);
+  online::MixedRepartitionController controller(
+      tb.repertoire(), tb.cluster(), mc.gpc_budget, tb.mix(), mc.paris,
+      econfig);
+  online::ElasticServerSim sim(
+      controller, tb.repertoire(), [&] { return tb.MakeScheduler(kind); },
+      tb.sla_target(), queries_per_epoch, seed,
+      UsToTicks(mc.swap_cost_us));
+  const auto result = sim.Run(workload.trace);
+
+  Table e({"epoch", "layout", "p95 ms", "viol. %", "stalled", "reconfig"});
+  for (std::size_t i = 0; i < result.epochs.size(); ++i) {
+    const auto& ep = result.epochs[i];
+    partition::PartitionPlan tmp;
+    tmp.instance_gpcs = ep.layout;
+    e.AddRow({Table::Int(static_cast<long long>(i)), tmp.Summary(),
+              Table::Num(ep.p95_ms, 2), Table::Num(100 * ep.violation_rate, 2),
+              Table::Int(static_cast<long long>(ep.stalled)),
+              ep.reconfigured ? "yes" : ""});
+  }
+  Table t({"metric", "value"});
+  t.AddRow({"model", ModelLabel(tb)});
+  t.AddRow({"scheduler", ToString(kind)});
+  t.AddRow({"scenario", workload.label});
+  t.AddRow({"offered qps", Table::Num(rate_qps, 1)});
+  t.AddRow({"reconfigurations", Table::Int(result.reconfigurations)});
+  t.AddRow({"stalled queries",
+            Table::Int(static_cast<long long>(result.total.reconfig_stalled))});
+  t.AddRow({"p95 ms", Table::Num(result.total.p95_latency_ms, 3)});
+  t.AddRow({"SLA violation %",
+            Table::Num(100 * result.total.sla_violation_rate, 2)});
+  if (args.HasFlag("csv")) {
+    e.PrintCsv(std::cout);
+    t.PrintCsv(std::cout);
+  } else {
+    e.Print(std::cout);
+    std::cout << "\n";
+    t.Print(std::cout);
+  }
+
+  core::Json data = core::ToJson(result);
+  data.Set("model", ModelLabel(tb));
+  data.Set("scheduler", core::ToString(kind));
+  data.Set("scenario", workload.label);
+  data.Set("offered_qps", rate_qps);
+  data.Set("queries_per_epoch", static_cast<std::uint64_t>(queries_per_epoch));
+  data.Set("drift_threshold", econfig.drift_threshold);
+  data.Set("downtime_ms", TicksToMs(econfig.reconfig_downtime));
+  data.Set("seed", seed);
+  auto report = core::MakeBenchReport("cli_elastic", false, /*jobs=*/1);
   report.Set("data", std::move(data));
   MaybeWriteJson(args, std::move(report));
   return 0;
@@ -805,7 +726,7 @@ int CmdFleet(const ArgParser& args) {
   const auto replay = LoadReplayDoc(args);
 
   core::FleetTestbedConfig fc;
-  fc.mix = MixConfigFrom(args, replay ? &replay->models : nullptr);
+  fc.mix = ConfigFrom(args, ChooseModels(args, false, replay));
   fc.num_servers = static_cast<int>(GetCount(args, "servers", 4));
   if (fc.num_servers < 1) {
     throw std::invalid_argument("--servers: expected >= 1");
@@ -834,7 +755,7 @@ int CmdFleet(const ArgParser& args) {
       args.GetDouble("rate", 300.0 * static_cast<double>(fc.num_servers));
   const std::size_t num_queries = GetCount(args, "queries", 100000);
   const auto workload =
-      ResolveMixWorkload(args, tb.mix(), replay, rate_qps, num_queries, seed);
+      ResolveWorkload(args, tb.mix(), replay, rate_qps, num_queries, seed);
   const auto& trace = workload.trace;
   if (replay) rate_qps = trace.OfferedQps();
   // --faults NAME[:k=v,...] runs the fault-tolerant driver; "none" (or no
@@ -917,9 +838,9 @@ int CmdFleet(const ArgParser& args) {
   return 0;
 }
 
+
 int CmdTrace(const ArgParser& args) {
   const auto replay = LoadReplayDoc(args);
-  const auto config = ConfigFrom(args);
   const auto seed = static_cast<std::uint64_t>(GetCount(args, "seed", 1));
 
   workload::QueryTrace trace;
@@ -931,17 +852,12 @@ int CmdTrace(const ArgParser& args) {
     models = replay->models;
     scenario_label = replay->scenario.empty() ? "replay" : replay->scenario;
   } else {
-    workload::ScenarioSpec spec;
-    spec.rate.base_qps = args.GetDouble("rate", 100.0);
-    spec.max_batch = config.max_batch;
-    workload::ComponentSpec c;
-    c.model_name = config.model_name;
-    c.median = config.dist_median;
-    c.sigma = config.dist_sigma;
-    spec.components.push_back(std::move(c));
-    trace = ScenarioTraceFrom(args, std::move(spec),
+    const ModelChoice choice = ChooseModels(args, true, replay);
+    const core::MixConfig mc = ConfigFrom(args, choice);
+    const double rate_qps = args.GetDouble("rate", 100.0);
+    trace = ScenarioTraceFrom(args, core::ScenarioFor(mc, rate_qps),
                               GetCount(args, "queries", 10000), seed);
-    models = {config.model_name};
+    models = choice.names;
     scenario_label = ScenarioLabel(args);
   }
   MaybeCaptureTrace(args, trace, std::move(models), scenario_label);
@@ -989,13 +905,16 @@ int main(int argc, char** argv) {
       PrintUsage(std::cerr);
       return 2;
     }
+    // Out-of-range --jobs is a hard error for every subcommand, also the
+    // ones that run on one thread.
+    GetJobs(args);
     if (*sub == "profile") return CmdProfile(args);
     if (*sub == "plan") return CmdPlan(args);
-    if (*sub == "simulate") return CmdSimulate(args);
+    if (*sub == "simulate") return CmdServe(args, /*simulate=*/true);
     if (*sub == "sweep") return CmdSweep(args);
     if (*sub == "trace") return CmdTrace(args);
     if (*sub == "elastic") return CmdElastic(args);
-    if (*sub == "mix") return CmdMix(args);
+    if (*sub == "mix") return CmdServe(args, /*simulate=*/false);
     if (*sub == "fleet") return CmdFleet(args);
     std::cerr << "unknown subcommand: " << *sub << "\n";
     PrintUsage(std::cerr);
