@@ -38,7 +38,10 @@
 //               identical split (oracle::ReplayFleet) --
 //               `sim_speedup_jobs1` is the CI-gated event-core
 //               trajectory number,
-//   stats_sec   zero-copy k-way FleetResult::Stats vs the merged-copy
+//   stats_sec   FleetResult::Stats (per-server folds past the fleet's
+//               warm-up cut -- merged order is arrival, then server,
+//               then position -- merged and finished once; means are
+//               exact tick sums converted to ms once) vs the merged-copy
 //               oracle (oracle::MergedCopyStats),
 //   fleet_qps   the end-to-end pipeline (route + split + simulate +
 //               stats) at --jobs 1 and hardware concurrency, against the
@@ -263,7 +266,7 @@ bool SameSplit(const fleet::TraceSplit& a, const fleet::TraceSplit& b) {
 }
 
 // Bit-exact field equality (doubles compared with ==, not a tolerance):
-// the zero-copy aggregate must reproduce the reference arithmetic.
+// the fleet aggregate must reproduce the reference arithmetic.
 bool SameServerStats(const sim::ServerStats& a, const sim::ServerStats& b) {
   if (a.completed != b.completed || a.mean_latency_ms != b.mean_latency_ms ||
       a.p50_latency_ms != b.p50_latency_ms ||
@@ -558,9 +561,9 @@ int main() {
       [&] { return hash_fleet(sim_result) == hash_fleet(sim_ref_result); });
   const bool sim_identical = sim_r.identical;
 
-  // Stage 4: stats reduction over the shared simulate result.  Zero-copy
-  // parallel Stats (k-way latency merge, no merged record vector) vs the
-  // merged-copy oracle; every field must match bit for bit.
+  // Stage 4: stats reduction over the shared simulate result.  Parallel
+  // Stats (per-server folds, no merged record vector) vs the merged-copy
+  // oracle; every field must match bit for bit.
   fleet::FleetStats fast_stats;
   fleet::FleetStats ref_stats;
   const StageResult stats_r = MeasureStage(

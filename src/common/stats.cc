@@ -2,72 +2,44 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace pe {
 
-void StreamingStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+std::vector<double> SelectPercentiles(std::span<double> samples,
+                                      std::initializer_list<double> ps) {
+  std::vector<double> out;
+  out.reserve(ps.size());
+  const std::size_t n = samples.size();
+  // samples[0, done) holds the `done` smallest values, and samples[done-1]
+  // is in its sorted position: the next (larger) rank selects from `done`.
+  std::size_t done = 0;
+  for (const double p : ps) {
+    assert(p >= 0.0 && p <= 100.0);
+    if (n <= 1) {
+      out.push_back(n == 0 ? 0.0 : samples[0]);
+      continue;
+    }
+    const double rank = (p / 100.0) * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    assert(lo + 1 >= done && "percentiles must come in non-decreasing order");
+    if (lo >= done) {
+      std::nth_element(samples.begin() + static_cast<std::ptrdiff_t>(done),
+                       samples.begin() + static_cast<std::ptrdiff_t>(lo),
+                       samples.end());
+      done = lo + 1;
+    }
+    if (lo + 1 >= n) {
+      out.push_back(samples[n - 1]);
+      continue;
+    }
+    // Everything past `lo` is at least samples[lo]: the next order
+    // statistic is their minimum.
+    const double hi = *std::min_element(
+        samples.begin() + static_cast<std::ptrdiff_t>(lo + 1), samples.end());
+    out.push_back(samples[lo] * (1.0 - frac) + hi * frac);
   }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double StreamingStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
-
-void StreamingStats::Merge(const StreamingStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void Percentile::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void Percentile::EnsureSorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double Percentile::Value(double p) const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  assert(p >= 0.0 && p <= 100.0);
-  if (samples_.size() == 1) return samples_.front();
-  const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-  const auto lo_idx = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo_idx);
-  if (lo_idx + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo_idx] * (1.0 - frac) + samples_[lo_idx + 1] * frac;
+  return out;
 }
 
 double Percentile::Mean() const {
@@ -75,42 +47,6 @@ double Percentile::Mean() const {
   double sum = 0.0;
   for (double s : samples_) sum += s;
   return sum / static_cast<double>(samples_.size());
-}
-
-double Percentile::Max() const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  return samples_.back();
-}
-
-void Percentile::Clear() {
-  samples_.clear();
-  sorted_ = true;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::Add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>((x - lo_) / width);
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i + 1);
 }
 
 }  // namespace pe

@@ -1,54 +1,39 @@
-// Statistics utilities used by the metrics and experiment layers:
-//  * StreamingStats -- O(1)-memory mean/variance/min/max (Welford).
-//  * Percentile     -- exact percentile over a retained sample vector
-//                      (tail latency is the paper's headline metric, so we
-//                      keep exact samples rather than an approximate sketch).
-//  * Histogram      -- fixed-width bin counts for distribution printing.
+// Statistics utilities used by the metrics and fault layers:
+//  * SelectPercentiles -- exact percentiles of an unsorted sample set by
+//                         linear-time selection (tail latency is the
+//                         paper's headline metric, so samples are kept
+//                         exact rather than sketched).
+//  * Percentile        -- a retained sample vector read through
+//                         SelectPercentiles.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace pe {
 
-// Welford's online algorithm for mean and variance.
-class StreamingStats {
- public:
-  void Add(double x);
+// The ps[i]-th percentile (each p in [0, 100], non-decreasing) of
+// `samples`, by linear interpolation between closest ranks: rank
+// r = p/100 * (n-1), value s[floor(r)] * (1-f) + s[floor(r)+1] * f with
+// f = r - floor(r) over the sorted samples; p = 100 is the maximum and an
+// empty set reads 0.  Selection (std::nth_element) places the same order
+// statistics a full sort would, so the values are bit-identical to
+// sorting first, at linear cost.  Reorders `samples`.
+std::vector<double> SelectPercentiles(std::span<double> samples,
+                                      std::initializer_list<double> ps);
 
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  // Population variance; zero for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  // Merges another accumulator into this one (parallel Welford merge).
-  void Merge(const StreamingStats& other);
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Exact percentile estimator.  Samples are retained; Value() sorts lazily.
+// Exact percentile estimator over retained samples.
 class Percentile {
  public:
-  void Add(double x);
-  void Reserve(std::size_t n) { samples_.reserve(n); }
+  void Add(double x) { samples_.push_back(x); }
 
   std::size_t count() const { return samples_.size(); }
 
-  // Returns the p-th percentile (p in [0, 100]) using linear interpolation
-  // between closest ranks.  Returns 0 for an empty set.
-  double Value(double p) const;
+  // The p-th percentile (p in [0, 100]); see SelectPercentiles.  Returns 0
+  // for an empty set.
+  double Value(double p) const { return SelectPercentiles(samples_, {p})[0]; }
 
   // Convenience accessors for the percentiles the paper reports.
   double P50() const { return Value(50.0); }
@@ -56,36 +41,13 @@ class Percentile {
   double P99() const { return Value(99.0); }
 
   double Mean() const;
-  double Max() const;
+  double Max() const { return Value(100.0); }
 
-  void Clear();
+  void Clear() { samples_.clear(); }
 
  private:
+  // Mutable: selection reorders the samples, never changes the multiset.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-
-  void EnsureSorted() const;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bin so no sample is dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pe

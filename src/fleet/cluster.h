@@ -18,9 +18,9 @@
 // the per-server records are bit-identical at any --jobs count -- the same
 // discipline core/experiment established for probe fan-out.
 //
-// FleetStats merges the per-server ServerStats with a fleet-level
-// aggregate computed over the union of all records, re-mapped back to
-// fleet-global query ids, model ids, and (server-offset) worker indices so
+// FleetResult::Stats reports each server's ServerStats next to a
+// fleet-level aggregate over the union of all records, keyed by
+// fleet-global model ids and (server-offset) worker indices so
 // percentiles, violation rates, and utilizations are measured over one
 // coherent population.
 #pragma once
@@ -100,19 +100,19 @@ struct FleetResult {
             id_offsets[i + 1] - id_offsets[i]};
   }
 
-  // Fleet stats without materializing the merged record vector: per-server
-  // ComputeStats fans out over up to `jobs` threads, the merged arrival
-  // order is recovered in O(n) by scattering the global ids (the walk
-  // verifies sortedness as it goes and falls back to parallel pairwise
-  // merges of the per-server (arrival, server) key runs for unsorted
-  // source traces), order-sensitive accumulators (mean latency, Welford
-  // queue delay, per-model mean sums) run in exactly that order in one
-  // serial walk, percentiles come from linear-time selection over a flat
-  // latency pool (same order statistics, same interpolation arithmetic as
-  // Percentile), and integer counters sum associatively.  Field-for-field
-  // bit-identical at any jobs count to one serial ComputeStats over a
-  // merged, globally re-keyed copy of every record -- the merged-copy
-  // oracle in tests/oracle/, pinned by fleet_stats_test.
+  // Fleet stats.  per_server[s] is ComputeStats over server s's records,
+  // with fleet-global model ids.  The aggregate is one sim::StatsFold over
+  // the union of every server's records, re-keyed to fleet-global model
+  // ids and server-offset worker indices, past a count-based warm-up
+  // cut: floor(warmup_fraction * total) records in merged order --
+  // arrival, then server, then position in the server's stable arrival
+  // order.  Each server folds its own records past its share of that cut
+  // (derived by binary search on the threshold arrival, ties handed out
+  // server-major), over up to `jobs` threads; the partials merge in
+  // server order and Finish() like any single server's.  Means are exact
+  // tick sums converted to ms once, so every field is bit-identical at
+  // any jobs count to the merged-copy oracle in tests/oracle/, pinned by
+  // fleet_stats_test.
   FleetStats Stats(SimTime sla_target, double warmup_fraction = 0.1,
                    int jobs = 1) const;
 };

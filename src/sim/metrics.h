@@ -5,7 +5,9 @@
 // violation rate, queueing delay, and per-worker utilization.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -100,15 +102,86 @@ struct ServerStats {
   std::vector<ModelStats> models;
 };
 
-// Aggregates records into ServerStats.
-//  * `sla_target`: latency bound for the violation-rate metric.
-//  * `warmup_fraction`: leading fraction of records (by arrival order)
-//    excluded from latency statistics, removing cold-start transients.
-// Worker utilization is measured over the span between the first and last
-// *included* completion.  Degenerate inputs -- empty records, or a
-// measurement span of zero ticks (possible for single-record or
-// reconfig-heavy epoch slices) -- yield zeroed rate/utilization metrics
-// rather than dividing by the zero-length span.
+// A mergeable statistics fold: the records folded in, in any order and
+// split across any number of folds merged in any order, decide the
+// result.  Every accumulator is order-free: counters and exact `int64`
+// tick sums for the means, min/max for the measurement window, and the
+// latency samples per model, whose percentiles are read by selection.
+// Finish() is the one routine that turns accumulated records into
+// ServerStats; ComputeStats and the fleet aggregate both end in it.
+class StatsFold {
+ public:
+  explicit StatsFold(SimTime sla_target) : sla_target_(sla_target) {}
+
+  // Folds one record, keyed under model id `model` and worker index
+  // `worker`: the record's own ids for one server, fleet-wide ids for a
+  // fleet aggregate.  Failed and shed records are counted, never sampled.
+  // Throws std::logic_error on a completed record with a negative id.
+  void Add(const QueryRecord& r, int model, int worker);
+  void Add(const QueryRecord& r) { Add(r, r.model, r.worker); }
+
+  // Folds in every record `other` holds.
+  void Merge(StatsFold&& other);
+
+  //  * Means (latency, queue delay, per model) are the exact tick sum
+  //    over the completions, converted to ms once and divided by their
+  //    count: TicksToMs(sum) / completed.
+  //  * Percentiles follow SelectPercentiles; max is the 100th.
+  //  * Rates and utilizations are measured over the span from the
+  //    earliest completed arrival to the latest completion; a span of
+  //    zero ticks (a single record, a reconfig-dominated epoch slice)
+  //    leaves them at zero instead of dividing by it.
+  //  * workers: one entry per (index, gpcs), ascending -- a live
+  //    reconfiguration reuses indices for differently-sized partitions.
+  //  * models: one entry per model with completions, ascending; when every
+  //    folded record (casualties included) has one model, that entry
+  //    copies the aggregate.
+  ServerStats Finish() &&;
+
+ private:
+  struct ModelAccum {
+    std::size_t completed = 0;
+    std::size_t violations = 0;
+    std::size_t swaps = 0;
+    SimTime latency_ticks = 0;
+    std::vector<double> latency_ms;
+  };
+
+  SimTime sla_target_;
+  std::size_t completed_ = 0;
+  std::size_t failed_ = 0;
+  std::size_t shed_ = 0;
+  std::size_t violations_ = 0;
+  std::size_t reconfig_stalled_ = 0;
+  std::size_t model_swaps_ = 0;
+  SimTime latency_ticks_ = 0;
+  SimTime queue_ticks_ = 0;
+  // Earliest completed arrival.
+  SimTime window_begin_ = std::numeric_limits<SimTime>::max();
+  SimTime window_end_ = 0;    // latest completion
+  // Over every folded record, casualties included.
+  int min_model_ = std::numeric_limits<int>::max();
+  int max_model_ = std::numeric_limits<int>::min();
+  // Indexed by worker index; one entry per distinct gpcs (almost always
+  // one: only a reconfiguration resizes an index).
+  std::vector<std::vector<WorkerStats>> workers_;
+  std::vector<ModelAccum> models_;  // indexed by model id
+};
+
+// Records cut as warm-up from the front of `n` arrival-ordered records:
+// floor(warmup_fraction * n).
+std::size_t WarmupSkip(std::size_t n, double warmup_fraction);
+
+// The stable arrival order of `records`: empty when they already are
+// arrival-sorted (the identity), else the positions stable-sorted by
+// arrival, so equal arrivals keep their input order.
+std::vector<std::uint32_t> ArrivalOrder(
+    const std::vector<QueryRecord>& records);
+
+// Aggregates records into ServerStats: the first
+// WarmupSkip(records.size(), warmup_fraction) records in stable arrival
+// order are cut (cold-start transients), the rest go through one
+// StatsFold.  `sla_target` is the latency bound of the violation rates.
 ServerStats ComputeStats(const std::vector<QueryRecord>& records,
                          SimTime sla_target, double warmup_fraction = 0.1);
 

@@ -2,64 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace pe {
 namespace {
-
-TEST(StreamingStats, EmptyIsZero) {
-  StreamingStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StreamingStats, SingleValue) {
-  StreamingStats s;
-  s.Add(3.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StreamingStats, KnownMoments) {
-  StreamingStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StreamingStats, MergeEqualsSequential) {
-  StreamingStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    (i % 2 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, empty;
-  a.Add(1.0);
-  a.Add(2.0);
-  const double mean = a.mean();
-  a.Merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  empty.Merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
 
 TEST(Percentile, EmptyReturnsZero) {
   Percentile p;
@@ -102,7 +50,7 @@ TEST(Percentile, AddAfterQueryStillCorrect) {
   p.Add(1.0);
   EXPECT_DOUBLE_EQ(p.P50(), 1.0);
   p.Add(3.0);
-  EXPECT_DOUBLE_EQ(p.P50(), 2.0);  // re-sorts lazily after mutation
+  EXPECT_DOUBLE_EQ(p.P50(), 2.0);  // selection sees every added sample
 }
 
 TEST(Percentile, ClearResets) {
@@ -113,33 +61,32 @@ TEST(Percentile, ClearResets) {
   EXPECT_EQ(p.P95(), 0.0);
 }
 
-TEST(Histogram, BinsCountCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.7);
-  h.Add(9.9);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, BinBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
+TEST(SelectPercentiles, MatchesSortedInterpolationBitForBit) {
+  // Selection must read the same order statistics a full sort does and
+  // combine them with the same arithmetic, on ties and uneven ranks too.
+  std::vector<double> samples;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 1001; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    samples.push_back(static_cast<double>((x >> 33) % 997) / 7.0);
+  }
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<double> ps = {0.0, 12.5, 50.0, 95.0, 95.0, 99.0, 100.0};
+  const auto got = SelectPercentiles(
+      samples, {0.0, 12.5, 50.0, 95.0, 95.0, 99.0, 100.0});
+  ASSERT_EQ(got.size(), ps.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double rank =
+        (ps[i] / 100.0) * static_cast<double>(sorted.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    const double want =
+        lo + 1 >= sorted.size()
+            ? sorted.back()
+            : sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+    EXPECT_EQ(got[i], want) << "p" << ps[i];
+  }
 }
 
 }  // namespace

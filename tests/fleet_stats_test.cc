@@ -1,9 +1,9 @@
-// Fleet aggregation fidelity: the zero-copy parallel FleetResult::Stats
-// must equal the merged-copy oracle (oracle::MergedCopyStats) field for
-// field -- exact percentiles from the k-way latency merge, per-model
-// slices, worker utilizations, and every order-sensitive mean -- across
-// router policies, seeds, and jobs counts.  Plus the unplaced-model
-// routing-error regression at the fleet level.
+// Fleet aggregation fidelity: FleetResult::Stats (per-server folds past
+// the fleet's warm-up cut, merged) must equal the merged-copy oracle
+// (oracle::MergedCopyStats) field for field -- exact percentiles,
+// per-model slices, worker utilizations, tick-sum means, and the cut's
+// tie rule -- across router policies, seeds, and jobs counts.  Plus the
+// unplaced-model routing-error regression at the fleet level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,7 +126,7 @@ TEST(FleetStats, ZeroCopyAggregateMatchesReferenceEverywhere) {
 }
 
 TEST(FleetStats, AgreesAtZeroWarmupAndOnEmptyResults) {
-  // warmup 0 exercises the no-skip merge walk; an empty FleetResult must
+  // warmup 0 exercises the empty cut; an empty FleetResult must
   // come back zeroed from both paths instead of dividing by the span.
   const FleetTestbed tb(MixedFleet(3, fleet::RouterPolicy::kHash, 3));
   const auto trace = tb.GenerateFleetTrace(1500.0, 2000, /*seed=*/3);
@@ -144,11 +144,11 @@ TEST(FleetStats, AgreesAtZeroWarmupAndOnEmptyResults) {
   ExpectIdenticalFleetStats(fast, ref, "empty result");
 }
 
-TEST(FleetStats, FallbackOrderOnUnsortedTraceAndForeignIds) {
-  // The fast aggregate's scatter walk assumes the source trace arrives
-  // sorted and its ids are the trace positions; an arrival inversion or
-  // out-of-range ids must route through the pairwise-merge fallback and
-  // still match the reference bit for bit.
+TEST(FleetStats, AgreesOnUnsortedTracesAndForeignIds) {
+  // The aggregate reads neither the source trace's order nor its ids: an
+  // arrival inversion (every server's records out of arrival order) or
+  // ids outside the trace positions must still match the reference bit
+  // for bit.
   const FleetTestbed tb(MixedFleet(4, fleet::RouterPolicy::kLeastLoaded, 11));
   const auto sorted = tb.GenerateFleetTrace(/*rate_qps=*/2000.0,
                                             /*num_queries=*/3000, /*seed=*/11);
@@ -166,6 +166,61 @@ TEST(FleetStats, FallbackOrderOnUnsortedTraceAndForeignIds) {
   ExpectIdenticalFleetStats(r2.Stats(tb.sla_target(), 0.1, 3),
                             oracle::MergedCopyStats(r2, tb.sla_target()),
                             "sparse ids");
+}
+
+TEST(FleetStats, WarmupCutInsideCrossServerTiesHandsThemOutServerMajor) {
+  // 40 records on 3 servers, so the 10% cut takes 4 in merged order
+  // (arrival, then server, then stable position).  One record arrives
+  // before T = 5 ms (on server 2); four arrive exactly at T: one each on
+  // servers 0 and 1, two on server 2.  The other three cut records are
+  // therefore server 0's tie, server 1's tie and the first of server 2's
+  // pair in its stored order.  Server 2's records are stored out of
+  // arrival order.  Every record has its own latency, worker and a model
+  // that differs by server, so cutting the wrong tied record moves means,
+  // percentiles, worker busy times and model slices.
+  const SimTime ms = MsToTicks(1.0);
+  const SimTime t = 5 * ms;
+  fleet::FleetResult result;
+  int latency_us = 100;
+  const auto add = [&](std::size_t server, SimTime arrival, int worker,
+                       int model) {
+    if (result.per_server.size() <= server) {
+      result.per_server.resize(server + 1);
+    }
+    auto& records = result.per_server[server].records;
+    sim::QueryRecord r;
+    r.id = records.size();
+    r.model = model;
+    r.arrival = arrival;
+    r.dispatched = arrival;
+    r.started = arrival + UsToTicks(latency_us / 4);
+    r.finished = arrival + UsToTicks(latency_us);
+    latency_us += 137;
+    r.worker = worker;
+    r.worker_gpcs = 1 + worker % 3;
+    records.push_back(r);
+  };
+  // Servers 0 and 1: one record at T, then later arrivals.
+  add(0, t, 1, 0);
+  for (int i = 0; i < 13; ++i) add(0, t + (i + 1) * ms, i % 3, i % 2);
+  add(1, t, 1, 1);
+  for (int i = 0; i < 12; ++i) add(1, t + (i + 1) * ms, i % 2, i % 2);
+  // Server 2: stored latest-first; a tied pair and one early arrival.
+  for (int i = 10; i >= 1; --i) add(2, t + i * ms, i % 2, 0);
+  add(2, t, 1, 0);
+  add(2, t, 0, 0);
+  add(2, 3 * ms, 0, 0);
+  result.global_models = {{0, 1}, {0, 2}, {1}};
+  result.worker_base = {0, 3, 5};
+
+  const SimTime sla = MsToTicks(1.5);
+  const auto ref = oracle::MergedCopyStats(result, sla);
+  ASSERT_EQ(ref.routed_queries, 40u);
+  ASSERT_EQ(ref.aggregate.completed, 36u);
+  for (const int jobs : {1, 3}) {
+    ExpectIdenticalFleetStats(result.Stats(sla, 0.1, jobs), ref,
+                              "ties jobs " + std::to_string(jobs));
+  }
 }
 
 TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
@@ -197,8 +252,6 @@ TEST(FleetStats, CasualtiesAreCountedButExcludedFromThePercentilePool) {
     sr.records.push_back(r);
   }
   result.per_server.push_back(std::move(sr));
-  result.global_ids = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  result.id_offsets = {0, 12};
   result.global_models = {{0}};
   result.worker_base = {0};
 

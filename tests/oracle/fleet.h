@@ -21,10 +21,13 @@ fleet::TraceSplit SplitPerQuery(const workload::QueryTrace& trace,
                                 fleet::Router& router,
                                 const fleet::PlacementMap& placement);
 
-// fleet::FleetResult::Stats the slow way: deep-copies every record,
-// re-keyed to global query ids, global model ids and fleet-unique worker
-// indices, into one merged vector and runs one serial ComputeStats over
-// it; per-server stats come from ComputeStats on each server's records.
+// fleet::FleetResult::Stats the slow way, never calling sim::ComputeStats:
+// every record deep-copied into one merged vector, re-keyed to global
+// model ids and fleet-unique worker indices, then one naive stats pass
+// over it -- a full stable sort by arrival, the first floor(warmup * n)
+// records cut, std::map accumulators per worker and per model, fully
+// sorted percentiles, and means as exact int64 tick sums.  Per-server
+// stats come from the same naive pass over each server's records.
 fleet::FleetStats MergedCopyStats(const fleet::FleetResult& result,
                                   SimTime sla_target,
                                   double warmup_fraction = 0.1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace pe::sim {
 namespace {
 
@@ -148,6 +151,39 @@ TEST(ComputeStats, SortsRecordsByArrival) {
   const auto s = ComputeStats(recs, MsToTicks(10), 0.5);
   EXPECT_EQ(s.completed, 1u);
   EXPECT_DOUBLE_EQ(s.max_latency_ms, 1.0);
+}
+
+TEST(ComputeStats, MeansAreExactTickSumsConvertedOnce) {
+  // Latencies of 0.1, 0.2 and 0.3 ms: summed as ms doubles, the result
+  // depends on the order ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1).  The
+  // mean is the exact tick sum converted once, whatever the record order.
+  const SimTime us = UsToTicks(1.0);
+  std::vector<QueryRecord> recs;
+  for (int i = 1; i <= 3; ++i) {
+    const SimTime arrival = MsToTicks(i);
+    recs.push_back(Rec(static_cast<std::uint64_t>(i), arrival,
+                       arrival + 50 * i * us, arrival + 100 * i * us));
+  }
+  const double in_order = (TicksToMs(recs[0].Latency()) +
+                           TicksToMs(recs[1].Latency())) +
+                          TicksToMs(recs[2].Latency());
+  const double reversed = (TicksToMs(recs[2].Latency()) +
+                           TicksToMs(recs[1].Latency())) +
+                          TicksToMs(recs[0].Latency());
+  ASSERT_NE(in_order, reversed);
+  const double want_latency = TicksToMs(600 * us) / 3.0;
+  const double want_queue = TicksToMs(300 * us) / 3.0;
+
+  const auto s = ComputeStats(recs, MsToTicks(10), 0.0);
+  EXPECT_EQ(s.mean_latency_ms, want_latency);
+  EXPECT_EQ(s.mean_queue_delay_ms, want_queue);
+  ASSERT_EQ(s.models.size(), 1u);
+  EXPECT_EQ(s.models[0].mean_latency_ms, want_latency);
+
+  std::reverse(recs.begin(), recs.end());
+  const auto r = ComputeStats(recs, MsToTicks(10), 0.0);
+  EXPECT_EQ(r.mean_latency_ms, want_latency);
+  EXPECT_EQ(r.mean_queue_delay_ms, want_queue);
 }
 
 }  // namespace

@@ -31,15 +31,6 @@ bench_targets=()
 for src in "${bench_sources[@]}"; do
   name="$(basename "${src}" .cc)"
   [[ "${name}" == "bench_util" ]] && continue
-  # bench_micro_engine is only configured when google-benchmark is present.
-  # Config-mode find_package writes "benchmark_DIR-NOTFOUND" to the cache
-  # when the package is missing, so require a found (non-NOTFOUND) entry.
-  if [[ "${name}" == "bench_micro_engine" ]] &&
-     ! grep "^benchmark_DIR:" "${build_dir}/CMakeCache.txt" 2>/dev/null |
-       grep -qv -- "-NOTFOUND"; then
-    echo "--- skipping ${name} (google-benchmark not available) ---"
-    continue
-  fi
   bench_targets+=("${name}")
 done
 
@@ -54,14 +45,7 @@ failures=0
 for name in "${bench_targets[@]}"; do
   echo
   echo "=== ${name} (PE_BENCH_SMOKE=${PE_BENCH_SMOKE}) ==="
-  if [[ "${name}" == "bench_micro_engine" ]]; then
-    # google-benchmark harness: keep the smoke run short explicitly.
-    # (Plain seconds value: the "0.01s" suffix form needs benchmark >= 1.8.)
-    args=(--benchmark_min_time=0.01)
-  else
-    args=()
-  fi
-  if ! "${build_dir}/bench/${name}" "${args[@]}"; then
+  if ! "${build_dir}/bench/${name}"; then
     echo "!!! ${name} FAILED"
     failures=$((failures + 1))
   fi
