@@ -186,7 +186,8 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     assignment[i] = healthy[static_cast<std::size_t>(h % healthy.size())];
     ++fault.rerouted;
   }
-  const TraceSplit split = SplitByAssignment(trace, assignment, placement);
+  TraceSplit split = SplitByAssignment(trace, assignment, placement);
+  assignment = std::vector<int>();
 
   // ---- Stage 2: build the engines (incremental mode). ------------------
   std::vector<std::unique_ptr<sched::Scheduler>> schedulers(nn);
@@ -203,13 +204,18 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
     engines[s]->InjectSpan(split.Server(static_cast<int>(s)));
     return 0;
   });
+  // Every query now lives in its engine's record; only the id map stays.
+  split.arena = std::vector<workload::Query>();
 
-  // Per-server global-id maps, growing as retries inject new local ids.
-  std::vector<std::vector<std::uint64_t>> gids(nn);
-  for (int s = 0; s < n; ++s) {
+  // Local id -> global id per server: the split's span, then a tail of
+  // retry attempts (local ids past the span, in injection order).
+  std::vector<std::vector<std::uint64_t>> retry_gids(nn);
+  const auto global_id = [&](int s, std::uint64_t local) {
     const auto span = split.GlobalIds(s);
-    gids[static_cast<std::size_t>(s)].assign(span.begin(), span.end());
-  }
+    return local < span.size()
+               ? span[local]
+               : retry_gids[static_cast<std::size_t>(s)][local - span.size()];
+  };
 
   // ---- Stage 3: the epoch loop. ----------------------------------------
   // Advance every engine (parallel, one task per engine -- disjoint
@@ -237,15 +243,13 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   const auto lose = [&](int from_server, SimTime t,
                         const std::vector<workload::Query>& removed) {
     for (const workload::Query& q : removed) {
-      const std::uint64_t gid =
-          gids[static_cast<std::size_t>(from_server)][q.id];
+      const std::uint64_t gid = global_id(from_server, q.id);
       if (retries_done[gid] >= plan.max_retries) {
         driver_failed[gid] = true;
         continue;
       }
       const int attempt = ++retries_done[gid];
-      const SimTime retry_time =
-          t + plan.retry_backoff * (SimTime{1} << (attempt - 1));
+      const SimTime retry_time = t + plan.RetryDelay(attempt);
       const workload::Query& orig = queries[gid];
       if (plan.deadline > 0 && retry_time - orig.arrival > plan.deadline) {
         driver_shed[gid] = true;  // cannot finish in time; drop, don't churn
@@ -394,13 +398,13 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
         const auto si = static_cast<std::size_t>(r.server);
         const workload::Query& orig = queries[r.gid];
         workload::Query q;
-        q.id = gids[si].size();
+        q.id = split.GlobalIds(r.server).size() + retry_gids[si].size();
         q.arrival = t;
         q.batch = orig.batch;
         q.model_id = placement.LocalModel(r.server, orig.model_id);
         assert(q.model_id >= 0);
         engines[si]->InjectQuery(q);
-        gids[si].push_back(r.gid);
+        retry_gids[si].push_back(r.gid);
       }
       pending.erase(due);
     }
@@ -416,13 +420,19 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   result.per_server = std::move(results);
   result.id_offsets.assign(nn + 1, 0);
   for (std::size_t s = 0; s < nn; ++s) {
-    result.id_offsets[s + 1] = result.id_offsets[s] + gids[s].size();
+    result.id_offsets[s + 1] = result.id_offsets[s] +
+                               split.GlobalIds(static_cast<int>(s)).size() +
+                               retry_gids[s].size();
   }
   result.global_ids.reserve(result.id_offsets.back());
   for (std::size_t s = 0; s < nn; ++s) {
-    result.global_ids.insert(result.global_ids.end(), gids[s].begin(),
-                             gids[s].end());
+    const auto span = split.GlobalIds(static_cast<int>(s));
+    result.global_ids.insert(result.global_ids.end(), span.begin(),
+                             span.end());
+    result.global_ids.insert(result.global_ids.end(), retry_gids[s].begin(),
+                             retry_gids[s].end());
   }
+  split = TraceSplit();
   cluster.FillGlobalTables(result);
 
   // ---- Stage 5: terminal classification + incident metrics. ------------
@@ -432,8 +442,9 @@ FleetResult SimulateWithFaults(const Cluster& cluster,
   SimTime makespan = last_applied == kForever ? 0 : last_applied;
   Percentile incident_latency;
   for (std::size_t s = 0; s < nn; ++s) {
+    const auto gids = result.GlobalIds(static_cast<int>(s));
     for (const sim::QueryRecord& r : result.per_server[s].records) {
-      const std::uint64_t gid = gids[s][r.id];
+      const std::uint64_t gid = gids[r.id];
       makespan = std::max(makespan, r.finished);
       if (!r.failed && !r.shed) {
         any_completed[gid] = true;

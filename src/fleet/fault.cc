@@ -1,6 +1,8 @@
 #include "fleet/fault.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -22,11 +24,46 @@ double ParseNumber(const std::string& key, const std::string& val) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  if (pos != val.size()) {
+  if (pos != val.size() || !std::isfinite(parsed)) {
     throw std::invalid_argument("faults: bad value for '" + key + "': '" +
                                 val + "'");
   }
   return parsed;
+}
+
+// A count-like override (count, retries) must be a whole number that fits
+// in an int, so the later static_cast<int> neither truncates nor
+// overflows.  Negative values are the "not set" sentinel, checked later.
+void CheckWhole(const std::string& key, double v) {
+  if (v >= 0.0 && (v != std::floor(v) ||
+                   v > static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw std::invalid_argument("faults: '" + key +
+                                "' must be a whole number <= 2147483647");
+  }
+}
+
+// A *-ms override must convert to a SimTime tick count (MsToTicks) without
+// overflowing.  2^63 is exact in a double, so the comparison is too.
+void CheckMs(const std::string& key, double ms) {
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (ms * static_cast<double>(kNsPerMs) + 0.5 >= kLimit) {
+    throw std::invalid_argument("faults: '" + key +
+                                "' is past the range of simulated time");
+  }
+}
+
+// a + k * b for event times built from overrides; throws instead of
+// overflowing SimTime.
+SimTime EventTime(SimTime a, SimTime k, SimTime b) {
+  SimTime scaled = 0;
+  SimTime sum = 0;
+  if (__builtin_mul_overflow(k, b, &scaled) ||
+      __builtin_add_overflow(a, scaled, &sum)) {
+    throw std::invalid_argument(
+        "faults: an event time built from 'at-ms', 'down-ms' and "
+        "'stagger-ms' is past the range of simulated time");
+  }
+  return sum;
 }
 
 // Override bundle shared by every preset; negative sentinel = "not set"
@@ -50,24 +87,32 @@ Overrides CollectOverrides(const FaultOptions& opts) {
   for (const auto& [key, val] : opts.overrides) {
     const double v = ParseNumber(key, val);
     if (key == "count") {
+      CheckWhole(key, v);
       o.count = v;
     } else if (key == "at-ms") {
+      CheckMs(key, v);
       o.at_ms = v;
     } else if (key == "down-ms") {
+      CheckMs(key, v);
       o.down_ms = v;
     } else if (key == "factor") {
       o.factor = v;
     } else if (key == "stagger-ms") {
+      CheckMs(key, v);
       o.stagger_ms = v;
     } else if (key == "retries") {
+      CheckWhole(key, v);
       o.retries = v;
     } else if (key == "backoff-ms") {
+      CheckMs(key, v);
       o.backoff_ms = v;
     } else if (key == "deadline-ms") {
+      CheckMs(key, v);
       o.deadline_ms = v;
     } else if (key == "repartition") {
       o.repartition = v;
     } else if (key == "downtime-ms") {
+      CheckMs(key, v);
       o.downtime_ms = v;
     } else {
       throw std::invalid_argument("faults: unknown key '" + key + "'");
@@ -153,6 +198,16 @@ void FaultPlan::Validate(const PlacementMap& placement) const {
   if (retry_backoff < 0 || deadline < 0 || reconfig_downtime < 0) {
     throw std::invalid_argument("faults: negative duration knob");
   }
+  // RetryDelay(max_retries) = retry_backoff << (max_retries - 1) must fit:
+  // at most 62 doublings, and none that carries a bit past bit 62.
+  if (max_retries > 0 && retry_backoff > 0 &&
+      (max_retries > 63 ||
+       retry_backoff >
+           (std::numeric_limits<SimTime>::max() >> (max_retries - 1)))) {
+    throw std::invalid_argument(
+        "faults: the last retry's backoff (backoff x 2^(retries-1)) is past "
+        "the range of simulated time; lower 'retries' or 'backoff-ms'");
+  }
 }
 
 FaultOptions ParseFaultRef(const std::string& ref) {
@@ -222,8 +277,8 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
     for (const int s : DrawServers(count, num_servers, rng)) {
       plan.events.push_back({at, FaultKind::kServerCrash, s, -1, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kServerRecover, s, -1,
-                               1.0});
+        plan.events.push_back({EventTime(at, 1, down),
+                               FaultKind::kServerRecover, s, -1, 1.0});
       }
     }
   } else if (opts.name == "flaky") {
@@ -240,8 +295,8 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
           static_cast<SimTime>(rng.Uniform(0.1 * span_d, 0.9 * span_d));
       plan.events.push_back({at, FaultKind::kWorkerFail, s, w, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kWorkerRecover, s, w,
-                               1.0});
+        plan.events.push_back({EventTime(at, 1, down),
+                               FaultKind::kWorkerRecover, s, w, 1.0});
       }
     }
   } else if (opts.name == "brownout") {
@@ -259,8 +314,8 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
     for (const int s : DrawServers(count, num_servers, rng)) {
       plan.events.push_back({at, FaultKind::kSlowdownBegin, s, -1, factor});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kSlowdownEnd, s, -1,
-                               1.0});
+        plan.events.push_back({EventTime(at, 1, down),
+                               FaultKind::kSlowdownEnd, s, -1, 1.0});
       }
     }
   } else if (opts.name == "cascade") {
@@ -276,12 +331,13 @@ FaultPlan ResolveFaultPlan(const FaultOptions& opts,
                              : static_cast<SimTime>(0.25 * span_d);
     const std::vector<int> victims = DrawServers(count, num_servers, rng);
     for (int k = 0; k < static_cast<int>(victims.size()); ++k) {
-      const SimTime at = at0 + static_cast<SimTime>(k) * stagger;
+      const SimTime at = EventTime(at0, k, stagger);
       plan.events.push_back(
           {at, FaultKind::kServerCrash, victims[static_cast<std::size_t>(k)],
            -1, 1.0});
       if (down > 0) {
-        plan.events.push_back({at + down, FaultKind::kServerRecover,
+        plan.events.push_back({EventTime(at, 1, down),
+                               FaultKind::kServerRecover,
                                victims[static_cast<std::size_t>(k)], -1, 1.0});
       }
     }

@@ -74,9 +74,17 @@ struct FaultPlan {
 
   bool empty() const { return events.empty(); }
 
+  // The backoff before retry `attempt` (1-based, at most max_retries):
+  // retry_backoff * 2^(attempt-1).  Validate guarantees it fits in
+  // SimTime.
+  SimTime RetryDelay(int attempt) const {
+    return retry_backoff == 0 ? 0 : retry_backoff << (attempt - 1);
+  }
+
   // Throws std::invalid_argument on an out-of-range server id, a worker
   // index outside its server's layout, a non-positive slowdown factor,
-  // or a negative event time.
+  // a negative event time, or a retry budget whose last backoff
+  // (RetryDelay(max_retries)) does not fit in SimTime.
   void Validate(const PlacementMap& placement) const;
 };
 
@@ -113,7 +121,11 @@ const std::vector<std::string>& FaultPresetNames();
 //
 // Shared override keys: count, at-ms, down-ms, factor, stagger-ms,
 // retries, backoff-ms, deadline-ms, repartition (0/1), downtime-ms.
-// Unknown keys and unknown preset names throw std::invalid_argument.
+// Unknown keys and unknown preset names throw std::invalid_argument, and
+// so does a value that cannot be taken as given: a non-finite number, a
+// count or retries that is not a whole number of at most INT_MAX, a *-ms
+// duration (or an event time built from them) past SimTime's range, or
+// a retries/backoff-ms pair that Validate rejects.
 //
 // Deterministic: randomized draws come from Rng(Mix64(seed ^
 // Mix64(0xFA17))), disjoint from every server and router stream.

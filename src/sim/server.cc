@@ -19,6 +19,11 @@ std::unique_ptr<profile::ModelRepertoire> WrapSingleModel(
   return repertoire;
 }
 
+// QueryOf rebuilds a Query from its record field by field; a new Query
+// field must be carried by QueryRecord too, or it would be dropped here.
+static_assert(sizeof(workload::Query) == 24,
+              "workload::Query changed: update InferenceServer::QueryOf");
+
 // Process-unique layout stamp: every BuildWorkers gets a fresh value, so a
 // scheduler's per-layout cache can never alias two different worker sets
 // (even across servers sharing one scheduler object).
@@ -136,15 +141,14 @@ InferenceServer::InferenceServer(ServerConfig config,
 void InferenceServer::Reset() {
   // clear() everywhere (never a fresh container): a server re-used across
   // incarnations -- Run after Run, or the experiment engine replaying
-  // probes -- keeps its event/arrival/record capacity instead of
-  // reallocating it each time.
+  // probes -- keeps its event/record capacity instead of reallocating it
+  // each time.
   calendar_.Clear();
-  arrivals_.clear();
+  cursor_end_ = 0;
   arrival_cursor_ = 0;
   next_seq_ = 0;
   now_ = 0;
   central_queue_.clear();
-  queries_.clear();
   records_.clear();
   frontend_free_at_.assign(
       static_cast<std::size_t>(std::max(1, config_.frontend.lanes)), 0);
@@ -206,18 +210,21 @@ bool InferenceServer::PopNextEvent(SimTime bound, bool bounded, Event& ev) {
   // The calendar's Peek caches the located minimum (null when empty), so
   // the Pop below re-scans nothing.
   const Event* head = calendar_.Peek();
-  const bool have_arrival = arrival_cursor_ < arrivals_.size();
+  const bool have_arrival = arrival_cursor_ < cursor_end_;
   if (head == nullptr && !have_arrival) return false;
+  // A cursor arrival's seq is its record index.
+  const SimTime arrival =
+      have_arrival ? records_[arrival_cursor_].arrival : SimTime{0};
   bool take_arrival = have_arrival;
   if (head != nullptr && have_arrival) {
-    const PendingArrival& a = arrivals_[arrival_cursor_];
-    take_arrival =
-        a.time != head->time ? a.time < head->time : a.seq < head->seq;
+    take_arrival = arrival != head->time ? arrival < head->time
+                                         : arrival_cursor_ < head->seq;
   }
   if (take_arrival) {
-    const PendingArrival& a = arrivals_[arrival_cursor_];
-    if (bounded && a.time >= bound) return false;
-    ev = Event{a.time, a.seq, a.query, EventType::kArrival};
+    if (bounded && arrival >= bound) return false;
+    ev = Event{arrival, arrival_cursor_,
+               static_cast<std::uint32_t>(arrival_cursor_),
+               EventType::kArrival};
     ++arrival_cursor_;
   } else {
     if (bounded && head->time >= bound) return false;
@@ -357,7 +364,7 @@ void InferenceServer::ReofferCentralQueue(SimTime now) {
 }
 
 void InferenceServer::InjectQuery(const workload::Query& query) {
-  if (query.id != queries_.size()) {
+  if (query.id != records_.size()) {
     throw std::invalid_argument("trace query ids must be dense 0..n-1");
   }
   if (query.arrival < now_) {
@@ -369,13 +376,12 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
         "InferenceServer: query model_id " + std::to_string(query.model_id) +
         " is not in the repertoire");
   }
-  if (queries_.size() >
+  if (records_.size() >
       static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
     throw std::invalid_argument(
         "InferenceServer: too many queries for one run");
   }
-  const auto index = static_cast<std::uint32_t>(queries_.size());
-  queries_.push_back(query);
+  const std::size_t index = records_.size();
   QueryRecord rec;
   rec.id = query.id;
   rec.batch = query.batch;
@@ -383,15 +389,17 @@ void InferenceServer::InjectQuery(const workload::Query& query) {
   rec.arrival = query.arrival;
   records_.push_back(rec);
   const std::uint64_t seq = next_seq_++;
-  if (arrivals_.empty() || query.arrival >= arrivals_.back().time) {
-    // The common case: arrivals keep the trace's time order, so the flat
-    // cursor replaces a calendar push (and, for a whole trace, a priority
-    // structure that would hold every arrival at once).
-    arrivals_.push_back(PendingArrival{query.arrival, seq, index});
+  if (seq == index && cursor_end_ == index &&
+      (index == 0 || query.arrival >= records_[index - 1].arrival)) {
+    // The common case: a trace injected up front keeps its time order, so
+    // the record prefix is the cursor (seq == index while no other seq has
+    // been drawn) and no priority structure ever holds every arrival.
+    cursor_end_ = index + 1;
   } else {
-    // Out-of-order arrival: the calendar restores the global (time, seq)
-    // order.
-    PushWithSeq(query.arrival, seq, EventType::kArrival, index);
+    // Out of time order, or injected after an event drew a seq: the
+    // calendar restores the global (time, seq) order.
+    PushWithSeq(query.arrival, seq, EventType::kArrival,
+                static_cast<std::uint32_t>(index));
   }
 }
 
@@ -400,10 +408,7 @@ void InferenceServer::InjectTrace(const workload::QueryTrace& trace) {
 }
 
 void InferenceServer::InjectSpan(std::span<const workload::Query> queries) {
-  const std::size_t n = queries.size();
-  queries_.reserve(queries_.size() + n);
-  records_.reserve(records_.size() + n);
-  arrivals_.reserve(arrivals_.size() + n);
+  records_.reserve(records_.size() + queries.size());
   for (const workload::Query& q : queries) InjectQuery(q);
 }
 
@@ -510,12 +515,12 @@ void InferenceServer::ProcessEvent(const Event& ev) {
         *lane = done;
         Push(done, EventType::kFrontendDone, ev.payload);
       } else {
-        Dispatch(queries_[ev.payload], now);
+        Dispatch(QueryOf(ev.payload), now);
       }
       break;
     }
     case EventType::kFrontendDone: {
-      Dispatch(queries_[ev.payload], now);
+      Dispatch(QueryOf(ev.payload), now);
       break;
     }
     case EventType::kWorkerDone: {
@@ -552,6 +557,11 @@ void InferenceServer::ProcessEvent(const Event& ev) {
       break;
     }
   }
+}
+
+workload::Query InferenceServer::QueryOf(std::uint32_t index) const {
+  const QueryRecord& rec = records_[index];
+  return workload::Query{rec.id, rec.arrival, rec.batch, rec.model};
 }
 
 void InferenceServer::SetNow(SimTime when) {

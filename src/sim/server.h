@@ -30,11 +30,18 @@
 //    min-tree of per-worker lower bounds on free-at time, updated in
 //    O(log W) at every worker mutation, so ELSA's per-arrival search is
 //    O(log W) per size class instead of a scan of all W workers;
-//  * injected arrivals are (typically) already time-sorted, so they live
-//    in a flat cursor merged on the fly with the pending-event calendar;
-//    a million-query trace never sits in the priority structure at all;
-//  * worker/frontend/reconfiguration events (and out-of-order arrival
-//    injections, which fall off the sorted cursor) live in a two-level
+//  * the per-query records are the engine's only per-query array (72 B
+//    a query; queues hold a query only while it waits): an event names
+//    its query by record index, and the Query the scheduler sees is
+//    rebuilt from the record;
+//  * a trace injected up front is (typically) already time-sorted, so the
+//    in-order prefix of the records is itself the arrival cursor, merged
+//    on the fly with the pending-event calendar -- its seq is implicit
+//    (seq == record index) and a million-query trace never sits in the
+//    priority structure at all;
+//  * worker/frontend/reconfiguration events (and every arrival off that
+//    prefix: one out of time order, or one injected after any other event
+//    seq was drawn, e.g. a fleet retry) live in a two-level
 //    bucketed EventCalendar -- a near-future bucket wheel plus a sorted
 //    overflow spill -- so the dominant completion -> dispatch ->
 //    completion cycle is O(1) amortized instead of a binary heap's
@@ -112,12 +119,17 @@ class InferenceServer {
   SimResult Run(std::span<const workload::Query> queries);
 
   // --- Incremental driving API ---------------------------------------
-  // Feeds one arrival.  Ids must stay dense (query.id == number of queries
-  // injected so far) and arrivals must not predate the current time.
+  // Feeds one arrival: the query is copied into its record, the only
+  // place the engine keeps it.  Ids must stay dense (query.id == number of
+  // queries injected so far) and arrivals must not predate the current
+  // time.  While every seq drawn so far went to an in-order arrival, an
+  // arrival no earlier than the last one extends the record-prefix cursor;
+  // any other arrival goes to the calendar with its own seq.  Either way
+  // it pops in the one total (time, seq) order.
   void InjectQuery(const workload::Query& query);
 
   // Feeds every query of `trace` (ids continuing the dense sequence),
-  // reserving arrival/record capacity for the whole trace up front.
+  // reserving record capacity for the whole trace up front.
   void InjectTrace(const workload::QueryTrace& trace);
 
   // Span form of InjectTrace (same dense-id and ordering requirements).
@@ -190,15 +202,6 @@ class InferenceServer {
   // The Event record and EventType live in sim/event_calendar.h beside
   // the structure that orders them.
 
-  // An injected arrival on the sorted cursor; `seq` is drawn from the
-  // same counter as calendar events so the merged pop order is the one
-  // total (time, seq) order.
-  struct PendingArrival {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t query = 0;
-  };
-
   // Server-owned incremental scheduler view.  WorkerState snapshots are
   // cached per worker and re-materialized only when the worker's version
   // ticked or, for busy workers, when the view's time epoch moved (the
@@ -266,8 +269,9 @@ class InferenceServer {
   void PushWithSeq(SimTime time, std::uint64_t seq, EventType type,
                    std::uint32_t payload);
   // Pops the earliest pending event (merging the calendar with the
-  // arrival cursor by (time, seq)) into `ev`.  With `bounded`, events at
-  // or after `bound` stay pending.  Returns false when nothing qualifies.
+  // record-prefix arrival cursor by (time, seq)) into `ev`.  With
+  // `bounded`, events at or after `bound` stay pending.  Returns false
+  // when nothing qualifies.
   bool PopNextEvent(SimTime bound, bool bounded, Event& ev);
   // The shared event loop of AdvanceTo/Finish: pops events in (time, seq)
   // order and drains every event at the same timestamp in one sweep --
@@ -277,6 +281,8 @@ class InferenceServer {
   // Moves the clock, bumping the live view's time epoch on real moves.
   void SetNow(SimTime when);
   void ProcessEvent(const Event& ev);
+  // The query injected as record `index`, rebuilt from that record.
+  workload::Query QueryOf(std::uint32_t index) const;
   // Scheduler consultation for an arrival or an orphan, through the
   // live view (wait times as of now_).
   int ConsultScheduler(const workload::Query& query, bool orphan);
@@ -312,12 +318,13 @@ class InferenceServer {
   // Dense lookup surface compiled from `repertoire_` once per server.
   profile::CompiledProfile compiled_;
 
-  // Worker/frontend/reconfig events plus out-of-order arrival
-  // injections, in the two-level bucketed calendar (O(1) amortized).
+  // Worker/frontend/reconfig events plus the arrivals off the cursor
+  // prefix, in the two-level bucketed calendar (O(1) amortized).
   EventCalendar calendar_;
-  // In-order arrivals: a flat cursor over the (already time-sorted)
-  // injected trace, merged with the calendar at pop time.
-  std::vector<PendingArrival> arrivals_;
+  // The arrival cursor: records_[0, cursor_end_) are time-sorted arrivals
+  // whose seq is their record index, merged with the calendar at pop
+  // time; `arrival_cursor_` is the next one to pop.
+  std::size_t cursor_end_ = 0;
   std::size_t arrival_cursor_ = 0;
   std::uint64_t next_seq_ = 0;
   SimTime now_ = 0;
@@ -336,7 +343,7 @@ class InferenceServer {
   // every arrival (any scheduler) until the new layout is up.
   std::deque<workload::Query> central_queue_;
   std::vector<SimTime> frontend_free_at_;  // per lane
-  std::vector<workload::Query> queries_;   // injected arrivals, by id
+  // One record per injected query, by id: the only per-query array.
   std::vector<QueryRecord> records_;
 
   // Live-reconfiguration state: while `reconfiguring_`, no query starts

@@ -6,16 +6,22 @@
 //    completes everything;
 //  * fault runs are bit-identical at --jobs 1, 2 and hardware
 //    concurrency, and across repeated runs with the same seed;
+//  * retried attempts map back, through the result's global ids, to the
+//    trace query they retry;
 //  * the `--faults` grammar (ParseFaultRef / ResolveFaultPlan) resolves
-//    deterministically and rejects unknown presets and keys.
+//    deterministically and rejects unknown presets and keys, and numbers
+//    it cannot take as given (non-integral or out-of-range counts and
+//    retries, durations or retry backoffs past SimTime's range).
 #include "fleet/failover.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fleet_runner.h"
@@ -128,6 +134,79 @@ TEST(FaultPlanResolve, PresetsAreDeterministicAndValidated) {
   EXPECT_EQ(tuned.events.size(), 6u);  // one crash per server, clamped
 }
 
+// The message of the std::invalid_argument `resolve` throws; empty when
+// it throws nothing.
+template <typename Fn>
+std::string InvalidArgument(Fn resolve) {
+  try {
+    resolve();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultPlanResolve, RejectsNumbersItCannotTakeAsGiven) {
+  const auto placement = ShardedPlacement(6, 2, 3);
+  const SimTime span = MsToTicks(10'000.0);
+  const auto resolve = [&](const std::string& ref) {
+    return InvalidArgument(
+        [&] { ResolveFaultPlan(ParseFaultRef(ref), placement, span, 1); });
+  };
+  // Each rejection names the offending key: {spec, key}.
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"serverloss:retries=1e300", "retries"},
+      {"serverloss:retries=2.5", "retries"},
+      {"serverloss:count=1e300", "count"},
+      {"serverloss:count=1.5", "count"},
+      {"serverloss:backoff-ms=1e300", "backoff-ms"},
+      {"serverloss:deadline-ms=1e300", "deadline-ms"},
+      {"serverloss:at-ms=1e300", "at-ms"},
+      {"cascade:down-ms=1e300", "down-ms"},
+      {"cascade:stagger-ms=1e300", "stagger-ms"},
+      {"cascade:downtime-ms=1e300", "downtime-ms"},
+      {"brownout:factor=inf", "factor"},
+      {"serverloss:retries=nan", "retries"},
+      // The 39th doubling of the default 50 ms backoff overflows.
+      {"serverloss:retries=39", "retries"},
+      {"serverloss:retries=64,backoff-ms=0.000001", "retries"},
+      {"serverloss:retries=2,backoff-ms=5e12", "backoff-ms"},
+      // Each duration fits alone; their sum does not.
+      {"cascade:at-ms=9e12,down-ms=9e12", "down-ms"},
+  };
+  for (const auto& [ref, key] : rejected) {
+    const std::string what = resolve(ref);
+    EXPECT_NE(what.find("'" + key + "'"), std::string::npos)
+        << ref << " -> \"" << what << "\"";
+  }
+  // The limits are exact: the last backoff that fits is accepted.
+  EXPECT_EQ(resolve("serverloss:retries=38"), "");
+  EXPECT_EQ(resolve("serverloss:retries=63,backoff-ms=0.000001"), "");
+  EXPECT_EQ(resolve("serverloss:retries=1000,backoff-ms=0"), "");
+  EXPECT_EQ(resolve("serverloss:count=2147483647"), "");  // still clamps
+  // The benchmark's chaos spec is untouched.
+  EXPECT_EQ(resolve("cascade:count=10,deadline-ms=250"), "");
+
+  // Validate guards hand-built plans too, at the same limit.
+  FaultPlan plan;
+  plan.max_retries = 38;
+  EXPECT_NO_THROW(plan.Validate(placement));
+  EXPECT_EQ(plan.RetryDelay(38), MsToTicks(50.0) << 37);
+  plan.max_retries = 39;
+  EXPECT_THROW(plan.Validate(placement), std::invalid_argument);
+  plan.retry_backoff = 1;
+  plan.max_retries = 63;
+  EXPECT_NO_THROW(plan.Validate(placement));
+  EXPECT_EQ(plan.RetryDelay(63), SimTime{1} << 62);
+  plan.max_retries = 64;
+  EXPECT_THROW(plan.Validate(placement), std::invalid_argument);
+  plan.retry_backoff = std::numeric_limits<SimTime>::max();
+  plan.max_retries = 1;
+  EXPECT_NO_THROW(plan.Validate(placement));
+  plan.max_retries = 2;
+  EXPECT_THROW(plan.Validate(placement), std::invalid_argument);
+}
+
 TEST(FleetFailover, EmptyPlanIsBitIdenticalToTheBatchPath) {
   const core::FleetTestbed tb(ShardedFleet(4, 2));
   const auto trace = tb.GenerateFleetTrace(600.0, 4000, /*seed=*/7);
@@ -222,6 +301,50 @@ TEST(FleetFailover, BitIdenticalAcrossJobsAndRepeatedRuns) {
                                        trace);
   ExpectSameResult(base, tb.RunWithFaults(trace, replan, /*jobs=*/2),
                    "re-resolved plan");
+}
+
+TEST(FleetFailover, RetriedAttemptsMapToTheirTraceQueries) {
+  // A retry is a fresh local id past the server's split span; the result's
+  // global ids must still map it to the trace query it retries.
+  const core::FleetTestbed tb(ShardedFleet(6, 3));
+  const auto trace = tb.GenerateFleetTrace(900.0, 6000, /*seed=*/13);
+  const SimTime span = trace.queries().back().arrival;
+  FaultPlan plan;
+  plan.name = "manual-crashes";
+  plan.events.push_back({span / 4, FaultKind::kServerCrash, /*server=*/0});
+  plan.events.push_back({span / 2, FaultKind::kServerCrash, /*server=*/3});
+  plan.events.push_back({(span * 3) / 4, FaultKind::kServerRecover, 0});
+  const auto result = tb.RunWithFaults(trace, plan, /*jobs=*/1);
+  ASSERT_GT(result.fault.retried, 0u);
+
+  std::size_t records = 0;
+  std::size_t retried_records = 0;
+  for (const auto& sr : result.per_server) records += sr.records.size();
+  ASSERT_EQ(result.id_offsets.size(), result.per_server.size() + 1);
+  EXPECT_EQ(result.id_offsets.back(), records);
+  EXPECT_EQ(result.global_ids.size(), records);
+  for (std::size_t s = 0; s < result.per_server.size(); ++s) {
+    const auto gids = result.GlobalIds(static_cast<int>(s));
+    const auto& models = result.global_models[s];
+    for (const sim::QueryRecord& r : result.per_server[s].records) {
+      ASSERT_LT(r.id, gids.size()) << "server " << s;
+      const std::uint64_t gid = gids[r.id];
+      ASSERT_LT(gid, trace.size()) << "server " << s << " record " << r.id;
+      const workload::Query& q = trace.queries()[gid];
+      EXPECT_EQ(r.batch, q.batch) << "server " << s << " record " << r.id;
+      ASSERT_LT(static_cast<std::size_t>(r.model), models.size());
+      EXPECT_EQ(models[static_cast<std::size_t>(r.model)], q.model_id)
+          << "server " << s << " record " << r.id;
+      EXPECT_GE(r.arrival, q.arrival);
+      if (r.arrival > q.arrival) ++retried_records;
+    }
+  }
+  // Every retried attempt left a record of its own.
+  EXPECT_EQ(retried_records, result.fault.retried);
+
+  const auto parallel = tb.RunWithFaults(trace, plan, /*jobs=*/3);
+  EXPECT_EQ(parallel.global_ids, result.global_ids);
+  EXPECT_EQ(parallel.id_offsets, result.id_offsets);
 }
 
 TEST(FleetFailover, HealthViewWindowsMatchTheSchedule) {
